@@ -34,9 +34,11 @@ module Time = Engine.Time
 
 (* ------------------------------------------------------------------ *)
 (* The pre-PR scheduler, frozen.  A verbatim copy (modulo module
-   paths) of lib/engine/event_queue.ml and the Sim.run loop at the
-   commit before the timer wheel landed — the honest baseline for the
-   A/B, since the live engine can no longer be built heap-only. *)
+   paths, and [Time.compare] in place of the int64 compare now that
+   [Time.t] is an int) of lib/engine/event_queue.ml and the Sim.run
+   loop at the commit before the timer wheel landed — the honest
+   baseline for the A/B, since the live engine can no longer be built
+   heap-only. *)
 
 module Baseline = struct
   module Eq = struct
@@ -67,7 +69,7 @@ module Baseline = struct
       { heap = Array.make capacity dummy; len = 0; next_seq = 0; live = 0; dummy }
 
     let entry_before a b =
-      let c = Int64.compare (Time.to_ns a.time) (Time.to_ns b.time) in
+      let c = Time.compare a.time b.time in
       if c <> 0 then c < 0 else a.seq < b.seq
 
     let grow q =

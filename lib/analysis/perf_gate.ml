@@ -223,11 +223,27 @@ type row = {
   cumulative_events : float;  (* running sum across the PR sequence *)
 }
 
+(* The part of a report that holds its headline numbers.  A/B reports
+   carry a frozen baseline next to the engine they measure, and the
+   baseline object may come first (BENCH_pr4's "heap_baseline"), so
+   the headline is read from the first "timer_wheel" object when there
+   is one, and from the whole report otherwise. *)
+let headline text =
+  let needle = "\"timer_wheel\"" in
+  let nlen = String.length needle and tlen = String.length text in
+  let rec go i =
+    if i + nlen > tlen then text
+    else if String.sub text i nlen = needle then String.sub text i (tlen - i)
+    else go (i + 1)
+  in
+  go 0
+
 (* One row per report, in the given order (the callers sort BENCH_*
    filenames, which orders them by PR).  [events_per_sec] and
    [minor_words_per_event] are the report's headline values where
-   present; [sim_events] sums every per-target count so heterogeneous
-   report shapes still contribute to the cumulative column. *)
+   present (see [headline]); [sim_events] sums every per-target count
+   so heterogeneous report shapes still contribute to the cumulative
+   column. *)
 let trajectory reports =
   let total = ref 0. in
   List.map
@@ -244,10 +260,11 @@ let trajectory reports =
           if per_target > 0. then per_target else sum "events"
       in
       total := !total +. sim_events;
+      let head = headline text in
       {
         report;
-        events_per_sec = find_number ~key:"events_per_sec" text;
-        minor_words_per_event = find_number ~key:"minor_words_per_event" text;
+        events_per_sec = find_number ~key:"events_per_sec" head;
+        minor_words_per_event = find_number ~key:"minor_words_per_event" head;
         speedup_2 = find_number ~key:"speedup_2" text;
         speedup_4 = find_number ~key:"speedup_4" text;
         sim_events;

@@ -51,6 +51,11 @@ type probe_event =
    Never set outside the harness. *)
 let unsafe_disable_wire_floor = ref false
 
+(* Jacobson/Karels estimator state, in seconds.  An all-float record is
+   stored flat, so the per-feedback update allocates nothing; [srtt] is
+   nan until the first sample. *)
+type estimator = { mutable srtt : float; mutable rttvar : float }
+
 type t = {
   sb : Tor_model.Switchboard.t;
   net : Netsim.Network.t;
@@ -62,7 +67,16 @@ type t = {
   rto_initial : Engine.Time.t;
   max_retries : int;
   backlog : (Tor_model.Cell.t * (unit -> unit) option) Queue.t;
-  inflight : (int, pending) Hashtbl.t;
+  (* In-flight pendings, the one for [hop_seq] at [hop_seq land
+     (capacity - 1)]; empty slots hold [vacant].  The array doubles
+     whenever a new cell's slot is still held by a live one, so every
+     live pending has its own slot however far its sequence numbers
+     spread.  A slot answers for [hop_seq] only if its pending is in use
+     with that very sequence number: stale and aliased feedback stays
+     spurious. *)
+  mutable inflight : pending array;
+  mutable inflight_count : int;
+  vacant : pending;
   mutable free : pending list;  (* recycled pendings *)
   mutable next_seq : int;
   mutable sent : int;
@@ -80,27 +94,48 @@ type t = {
      relay's resource accounting always matches this sender's held
      state. *)
   mutable charged : int;
-  (* Jacobson/Karels estimator state, in seconds. *)
-  mutable srtt : float option;
-  mutable rttvar : float;
+  est : estimator;
 }
+
+(* A pending that is never in use: the filler for empty inflight
+   slots and the template of the pool's fresh records. *)
+let blank_pending sim circuit =
+  {
+    cell = Tor_model.Cell.make circuit Tor_model.Cell.Destroy;
+    hop_seq = -1;
+    transmitted = false;
+    sent_at = Engine.Time.zero;
+    retransmitted = false;
+    backoff = 0;
+    attempts = 0;
+    on_wire = false;
+    ack = None;
+    in_use = false;
+    wire_floor = max_int;
+    timer = Engine.Sim.Timer.create sim (fun () -> ());
+    send_action = (fun _ -> ());
+  }
 
 let create ~sb ~circuit ~succ ~controller ?(rto_min = Engine.Time.ms 400)
     ?(rto_initial = Engine.Time.s 1) ?(max_retries = 8) () =
   if max_retries < 1 then invalid_arg "Hop_sender.create: max_retries must be positive";
   let net = Tor_model.Switchboard.network sb in
+  let sim = Netsim.Network.sim net in
+  let vacant = blank_pending sim circuit in
   {
     sb;
     net;
     circuit;
     succ;
     controller;
-    sim = Netsim.Network.sim net;
+    sim;
     rto_min;
     rto_initial;
     max_retries;
     backlog = Queue.create ();
-    inflight = Hashtbl.create 64;
+    inflight = Array.make 64 vacant;
+    inflight_count = 0;
+    vacant;
     free = [];
     next_seq = 0;
     sent = 0;
@@ -111,13 +146,12 @@ let create ~sb ~circuit ~succ ~controller ?(rto_min = Engine.Time.ms 400)
     aborted = false;
     on_abort = None;
     charged = 0;
-    srtt = None;
-    rttvar = 0.;
+    est = { srtt = Float.nan; rttvar = 0. };
   }
 
 let controller t = t.controller
 let cwnd t = Circuitstart.Controller.cwnd t.controller
-let inflight t = Hashtbl.length t.inflight
+let inflight t = t.inflight_count
 let queue_length t = Queue.length t.backlog
 let cells_sent t = t.sent
 let retransmissions t = t.retx
@@ -125,21 +159,46 @@ let spurious_feedback t = t.spurious
 let feedback_received t = t.feedbacks
 let next_hop_seq t = t.next_seq
 let set_probe t f = t.probe <- f
-let idle t = Queue.is_empty t.backlog && Hashtbl.length t.inflight = 0
+let idle t = Queue.is_empty t.backlog && t.inflight_count = 0
 let aborted t = t.aborted
 let set_on_abort t f = t.on_abort <- Some f
 let charged_bytes t = t.charged
 
-let srtt t = Option.map Engine.Time.of_sec_f t.srtt
+let srtt t =
+  if Float.is_nan t.est.srtt then None else Some (Engine.Time.of_sec_f t.est.srtt)
 
 let rto t =
-  match t.srtt with
-  | None -> t.rto_initial
-  | Some srtt ->
-      let rto = Engine.Time.of_sec_f (srtt +. (4. *. t.rttvar)) in
-      Engine.Time.max rto t.rto_min
+  if Float.is_nan t.est.srtt then t.rto_initial
+  else
+    let rto = Engine.Time.of_sec_f (t.est.srtt +. (4. *. t.est.rttvar)) in
+    Engine.Time.max rto t.rto_min
 
 let max_backoff = 6
+
+(* The live pending for [hop_seq], or [vacant]. *)
+let find_inflight t hop_seq =
+  let p = t.inflight.(hop_seq land (Array.length t.inflight - 1)) in
+  if p.in_use && p.hop_seq = hop_seq then p else t.vacant
+
+let rec add_inflight t (p : pending) =
+  let cap = Array.length t.inflight in
+  let i = p.hop_seq land (cap - 1) in
+  if t.inflight.(i).in_use then begin
+    let grown = Array.make (2 * cap) t.vacant in
+    Array.iter
+      (fun (q : pending) -> if q.in_use then grown.(q.hop_seq land ((2 * cap) - 1)) <- q)
+      t.inflight;
+    t.inflight <- grown;
+    add_inflight t p
+  end
+  else begin
+    t.inflight.(i) <- p;
+    t.inflight_count <- t.inflight_count + 1
+  end
+
+let remove_inflight t (p : pending) =
+  t.inflight.(p.hop_seq land (Array.length t.inflight - 1)) <- t.vacant;
+  t.inflight_count <- t.inflight_count - 1
 
 (* Kill the sender: disarm every pending timer, drop all state.  Once
    aborted a sender accepts no submissions, transmits nothing and
@@ -147,13 +206,16 @@ let max_backoff = 6
 let abort t =
   if not t.aborted then begin
     t.aborted <- true;
-    Hashtbl.iter
-      (fun _ p ->
-        Engine.Sim.Timer.cancel t.sim p.timer;
-        p.in_use <- false;
-        p.ack <- None)
+    Array.iteri
+      (fun i (p : pending) ->
+        if p.in_use then begin
+          Engine.Sim.Timer.cancel t.sim p.timer;
+          p.in_use <- false;
+          p.ack <- None;
+          t.inflight.(i) <- t.vacant
+        end)
       t.inflight;
-    Hashtbl.reset t.inflight;
+    t.inflight_count <- 0;
     Queue.clear t.backlog;
     (* Release every byte still charged against the node's occupancy
        accounting in one move. *)
@@ -203,7 +265,7 @@ let rec wire_send t (p : pending) =
    but no feedback arrived in time).  Both mean the same thing —
    retransmit, or trip the sender once the budget is spent. *)
 and on_timer t (p : pending) =
-  if (not t.aborted) && p.in_use && Hashtbl.mem t.inflight p.hop_seq then begin
+  if (not t.aborted) && p.in_use && find_inflight t p.hop_seq == p then begin
     if p.attempts >= t.max_retries then trip t
     else begin
       p.retransmitted <- true;
@@ -255,23 +317,7 @@ let alloc_pending t =
       t.free <- rest;
       p
   | [] ->
-      let p =
-        {
-          cell = Tor_model.Cell.make t.circuit Tor_model.Cell.Destroy;
-          hop_seq = -1;
-          transmitted = false;
-          sent_at = Engine.Time.zero;
-          retransmitted = false;
-          backoff = 0;
-          attempts = 0;
-          on_wire = false;
-          ack = None;
-          in_use = false;
-          wire_floor = max_int;
-          timer = Engine.Sim.Timer.create t.sim (fun () -> ());
-          send_action = (fun _ -> ());
-        }
-      in
+      let p = blank_pending t.sim t.circuit in
       p.timer <- Engine.Sim.Timer.create t.sim (fun () -> on_timer t p);
       p.send_action <- (fun pkt_id -> transmit_done t p pkt_id);
       p
@@ -293,7 +339,7 @@ let release t p =
 let rec pump t =
   if
     (not t.aborted)
-    && Hashtbl.length t.inflight < Circuitstart.Controller.send_allowance t.controller
+    && t.inflight_count < Circuitstart.Controller.send_allowance t.controller
     && not (Queue.is_empty t.backlog)
   then begin
     let cell, ack = Queue.pop t.backlog in
@@ -314,7 +360,7 @@ let rec pump t =
        packet this incarnation sends gets an id at or above it, every
        stale registration from a previous incarnation sits below. *)
     p.wire_floor <- Netsim.Network.next_packet_id t.net;
-    Hashtbl.add t.inflight hop_seq p;
+    add_inflight t p;
     wire_send t p;
     pump t
   end
@@ -332,42 +378,43 @@ let submit t ?ack cell =
   end
 
 let sample_rtt t rtt_s =
-  match t.srtt with
-  | None ->
-      t.srtt <- Some rtt_s;
-      t.rttvar <- rtt_s /. 2.
-  | Some srtt ->
-      let err = rtt_s -. srtt in
-      t.srtt <- Some (srtt +. (0.125 *. err));
-      t.rttvar <- (0.75 *. t.rttvar) +. (0.25 *. Float.abs err)
+  let e = t.est in
+  if Float.is_nan e.srtt then begin
+    e.srtt <- rtt_s;
+    e.rttvar <- rtt_s /. 2.
+  end
+  else begin
+    let err = rtt_s -. e.srtt in
+    e.srtt <- e.srtt +. (0.125 *. err);
+    e.rttvar <- (0.75 *. e.rttvar) +. (0.25 *. Float.abs err)
+  end
 
 let on_feedback t ~hop_seq =
-  if not t.aborted then
-    let entry = Hashtbl.find_opt t.inflight hop_seq in
+  if not t.aborted then begin
+    let p = find_inflight t hop_seq in
+    let known = p != t.vacant in
     (match t.probe with
-    | Some probe ->
-        probe
-          (Feedback
-             { hop_seq; next_hop_seq = t.next_seq; known = Option.is_some entry })
+    | Some probe -> probe (Feedback { hop_seq; next_hop_seq = t.next_seq; known })
     | None -> ());
-    match entry with
-    | None -> t.spurious <- t.spurious + 1
-    | Some p ->
-        t.feedbacks <- t.feedbacks + 1;
-        Hashtbl.remove t.inflight hop_seq;
-        let retransmitted = p.retransmitted and sent_at = p.sent_at in
-        release t p;
-        t.charged <- t.charged - Wire.cell_size;
-        Tor_model.Switchboard.credit t.sb t.circuit Wire.cell_size;
-        let now = Engine.Sim.now t.sim in
-        if not retransmitted then begin
-          let rtt = Engine.Time.diff now sent_at in
-          if Engine.Time.(rtt > Engine.Time.zero) then begin
-            sample_rtt t (Engine.Time.to_sec_f rtt);
-            (* If nothing is waiting locally, the window is not what
-               limits this hop; rounds without pressure must not grow. *)
-            let window_limited = not (Queue.is_empty t.backlog) in
-            Circuitstart.Controller.on_feedback t.controller ~now ~rtt ~window_limited ()
-          end
-        end;
-        pump t
+    if not known then t.spurious <- t.spurious + 1
+    else begin
+      t.feedbacks <- t.feedbacks + 1;
+      remove_inflight t p;
+      let retransmitted = p.retransmitted and sent_at = p.sent_at in
+      release t p;
+      t.charged <- t.charged - Wire.cell_size;
+      Tor_model.Switchboard.credit t.sb t.circuit Wire.cell_size;
+      let now = Engine.Sim.now t.sim in
+      if not retransmitted then begin
+        let rtt = Engine.Time.diff now sent_at in
+        if Engine.Time.(rtt > Engine.Time.zero) then begin
+          sample_rtt t (Engine.Time.to_sec_f rtt);
+          (* If nothing is waiting locally, the window is not what
+             limits this hop; rounds without pressure must not grow. *)
+          let window_limited = not (Queue.is_empty t.backlog) in
+          Circuitstart.Controller.on_feedback t.controller ~now ~rtt ~window_limited ()
+        end
+      end;
+      pump t
+    end
+  end

@@ -7,13 +7,25 @@ type phase = Ramp_up | Avoidance
    plan-bounds oracle can prove it notices. *)
 let unsafe_disable_plan_bounds = ref false
 
+(* The float state written on every feedback.  An all-float record is
+   stored flat, so these writes allocate nothing, where float fields of
+   the mixed record [t] would each box a fresh float per write. *)
+type floats = {
+  mutable rtt_sum : float;  (* seconds, for the round mean *)
+  mutable rtt_min : float;  (* seconds, for the ramp-up exit test *)
+  mutable rtt_max : float;
+      (* seconds; [rtt_max = rtt_min] over a whole round is the
+         zero-variance signal that makes the predictive link model
+         unidentifiable. *)
+  mutable diff : float;  (* latest Vegas diff; nan before any feedback *)
+}
+
 type t = {
   params : Params.t;
   strategy : strategy;
   mutable cwnd : int;
   mutable phase : phase;
   mutable base_rtt : Engine.Time.t option;
-  mutable latest_diff : float option;
   (* Round bookkeeping: a round ends after [round_target] feedbacks.
      [round_base] is the window at the start of the round; during a
      Circuit_start ramp-up round the send allowance interpolates from
@@ -21,13 +33,7 @@ type t = {
   mutable round_target : int;
   mutable round_base : int;
   mutable acked_in_round : int;
-  mutable round_rtt_sum : float;  (* seconds, for the round mean *)
-  mutable round_rtt_min : float;  (* seconds, for the ramp-up exit test *)
-  mutable round_rtt_max : float;
-      (* seconds; [round_rtt_max = round_rtt_min] over a whole round is
-         the zero-variance signal that makes the predictive link model
-         unidentifiable. *)
-  mutable round_started_at : Engine.Time.t option;
+  fl : floats;
   (* Delivery rate of the previous ramp-up round plus consecutive-round
      counters for the exit decision — the ramp ends when the feedback
      rate stops accelerating persistently, not merely when RTTs inflate
@@ -50,9 +56,18 @@ type t = {
      compensating themselves. *)
   mutable recalibrate : int;
   mutable calm_rounds : int;
-  (* Timestamps of feedbacks within the last baseRtt, for rate-based
-     overshooting compensation. *)
-  recent_feedbacks : Engine.Time.t Queue.t;
+  (* Feedback instants (ns) of the last [rate_window_rtts] baseRtts,
+     for rate-based overshooting compensation: an int ring holding
+     positions [fb_head3, fb_tail) at [pos land (capacity - 1)].
+     [fb_head1] is the first position within the last baseRtt.  Both
+     heads only move forward, because [now] never decreases and baseRtt
+     never increases, so keeping the two windows is amortised O(1) per
+     feedback. *)
+  mutable fb : int array;
+  mutable fb_head3 : int;
+  mutable fb_head1 : int;
+  mutable fb_tail : int;
+  mutable last_now : Engine.Time.t;
   (* Sliding-rate readings of the last few rounds.  A hop whose
      feedback stream is momentarily starved (a successor applying its
      own compensation) must not mistake the trough for the path rate:
@@ -104,14 +119,10 @@ let create ?(params = Params.default) strategy =
     cwnd;
     phase;
     base_rtt = None;
-    latest_diff = None;
     round_target = cwnd;
     round_base = cwnd;
     acked_in_round = 0;
-    round_rtt_sum = 0.;
-    round_rtt_min = Float.infinity;
-    round_rtt_max = 0.;
-    round_started_at = None;
+    fl = { rtt_sum = 0.; rtt_min = Float.infinity; rtt_max = 0.; diff = Float.nan };
     prev_rate = None;
     stall_rounds = 0;
     queue_rounds = 0;
@@ -122,7 +133,11 @@ let create ?(params = Params.default) strategy =
     exit_acked = None;
     recalibrate = 0;
     calm_rounds = 0;
-    recent_feedbacks = Queue.create ();
+    fb = Array.make 64 0;
+    fb_head3 = 0;
+    fb_head1 = 0;
+    fb_tail = 0;
+    last_now = Engine.Time.ns min_int;
     rate_history = Array.make 8 0;
     rate_history_idx = 0;
     round_count1_max = 0;
@@ -142,7 +157,7 @@ let params t = t.params
 let cwnd t = t.cwnd
 let phase t = t.phase
 let base_rtt t = t.base_rtt
-let latest_diff t = t.latest_diff
+let latest_diff t = if Float.is_nan t.fl.diff then None else Some t.fl.diff
 let rounds_completed t = t.rounds
 let ramp_up_exits t = t.exits
 let exit_cwnd t = t.exit_cwnd
@@ -235,19 +250,19 @@ let set_cwnd t ~now v =
     List.iter (fun f -> f ~now v) t.on_change
   end
 
-let start_round ?now t =
+let start_round t =
   t.round_target <- t.cwnd;
   t.round_base <- t.cwnd;
   t.acked_in_round <- 0;
-  t.round_rtt_sum <- 0.;
-  t.round_rtt_min <- Float.infinity;
-  t.round_rtt_max <- 0.;
-  t.round_started_at <- now;
+  t.fl.rtt_sum <- 0.;
+  t.fl.rtt_min <- Float.infinity;
+  t.fl.rtt_max <- 0.;
   t.round_count1_max <- 0;
   t.limited_in_round <- false
 
-(* diff = cwnd * currentRtt / baseRtt - cwnd, in cells. *)
-let vegas_diff t ~rtt_s =
+(* diff = cwnd * currentRtt / baseRtt - cwnd, in cells.  Inlined so
+   the float argument and result stay unboxed on the feedback path. *)
+let[@inline] vegas_diff t ~rtt_s =
   match t.base_rtt with
   | None -> 0.
   | Some base ->
@@ -261,16 +276,36 @@ let vegas_diff t ~rtt_s =
    not. *)
 let rate_window_rtts = 3
 
-(* Feedbacks within the last [rtts] baseRtts (the deque retains
-   [rate_window_rtts] worth). *)
-let count_within t ~now ~rtts =
-  match t.base_rtt with
-  | None -> Queue.length t.recent_feedbacks
-  | Some base ->
-      let cutoff = Engine.Time.sub now (Engine.Time.mul_int base rtts) in
-      Queue.fold
-        (fun acc ts -> if Engine.Time.(ts > cutoff) then acc + 1 else acc)
-        0 t.recent_feedbacks
+(* Record a feedback at [now] and slide both windows to it.  [now] is
+   at or after every stored instant, so the ring stays sorted and each
+   head only skips entries that have left its window for good. *)
+let push_feedback t ~now ~base =
+  let now = Engine.Time.to_ns now and base = Engine.Time.to_ns base in
+  let cap = Array.length t.fb in
+  if t.fb_tail - t.fb_head3 = cap then begin
+    let grown = Array.make (2 * cap) 0 in
+    for pos = t.fb_head3 to t.fb_tail - 1 do
+      grown.(pos land ((2 * cap) - 1)) <- t.fb.(pos land (cap - 1))
+    done;
+    t.fb <- grown
+  end;
+  let mask = Array.length t.fb - 1 in
+  t.fb.(t.fb_tail land mask) <- now;
+  t.fb_tail <- t.fb_tail + 1;
+  (* The entry just stored is [now], inside both windows, so neither
+     head can run past the tail. *)
+  let cutoff3 = now - (rate_window_rtts * base) in
+  while t.fb.(t.fb_head3 land mask) <= cutoff3 do
+    t.fb_head3 <- t.fb_head3 + 1
+  done;
+  if t.fb_head1 < t.fb_head3 then t.fb_head1 <- t.fb_head3;
+  let cutoff1 = now - base in
+  while t.fb.(t.fb_head1 land mask) <= cutoff1 do
+    t.fb_head1 <- t.fb_head1 + 1
+  done
+
+(* Feedbacks within the last baseRtt, as of the latest feedback. *)
+let count_within t = t.fb_tail - t.fb_head1
 
 (* Burst-proof rate: average over the full window.  A queue release can
    dump a whole flight of feedbacks into one RTT; averaging across a
@@ -278,7 +313,7 @@ let count_within t ~now ~rtts =
 let sliding_rate_cells t =
   int_of_float
     (Float.round
-       (float_of_int (Queue.length t.recent_feedbacks) /. float_of_int rate_window_rtts))
+       (float_of_int (t.fb_tail - t.fb_head3) /. float_of_int rate_window_rtts))
 
 let record_round_rate t ~now =
   (* The ring keeps the best *instantaneous* (one-RTT) reading of each
@@ -290,8 +325,8 @@ let record_round_rate t ~now =
     t.round_count1_max;
   t.rate_history_idx <- t.rate_history_idx + 1
 
-let recent_peak_rate_cells t ~now =
-  let current = Stdlib.max (count_within t ~now ~rtts:1) t.round_count1_max in
+let recent_peak_rate_cells t =
+  let current = Stdlib.max (count_within t) t.round_count1_max in
   Array.fold_left Stdlib.max current t.rate_history
 
 let leave_ramp_up t ~now ~new_cwnd ~recalibrate =
@@ -311,21 +346,21 @@ let leave_ramp_up t ~now ~new_cwnd ~recalibrate =
   t.prev_rate <- None;
   t.stall_rounds <- 0;
   t.queue_rounds <- 0;
-  start_round ~now t
+  start_round t
 
-let enter_ramp_up t ~now =
+let enter_ramp_up t =
   t.phase <- Ramp_up;
   t.calm_rounds <- 0;
   t.prev_rate <- None;
   t.stall_rounds <- 0;
   t.queue_rounds <- 0;
-  start_round ~now t
+  start_round t
 
 let double_round t ~now =
   t.rounds <- t.rounds + 1;
   let base = t.cwnd in
   set_cwnd t ~now (t.cwnd * 2);
-  start_round ~now t;
+  start_round t;
   (* One round = one RTT = the flight at the round's start; the
      allowance interpolates from that flight up to the doubled
      window. *)
@@ -336,20 +371,20 @@ let double_round t ~now =
    the current round (= the last baseRtt) — the train prefix the
    successor forwarded without additional delay, which is the minimal
    window that keeps the bottleneck busy. *)
-let compensated_cwnd t ~now =
+let compensated_cwnd t =
   match t.params.compensation with
   | Params.Acked_count -> t.acked_in_round
-  | Params.Rate_based -> recent_peak_rate_cells t ~now
+  | Params.Rate_based -> recent_peak_rate_cells t
 
 (* The predictive link model is identifiable only when the round that
    feeds it carried enough signal: at least two RTT samples whose
    values actually differ (a zero-variance round cannot separate
    propagation delay from queueing) and a nonzero rate estimate.
    Anything less triggers the hard fallback to Vegas avoidance. *)
-let model_identifiable t ~now =
+let model_identifiable t =
   t.acked_in_round >= 2
-  && t.round_rtt_max > t.round_rtt_min
-  && recent_peak_rate_cells t ~now >= 1
+  && t.fl.rtt_max > t.fl.rtt_min
+  && recent_peak_rate_cells t >= 1
 
 (* Refit, replan in place, and commit the plan's first step.  The
    generation bumps *before* the commit so a change hook (the cwnd-law
@@ -402,7 +437,7 @@ let rate_stall_ratio = 1.5
    transiently. *)
 let should_exit_ramp_up t ~now =
   let diff_mean =
-    vegas_diff t ~rtt_s:(t.round_rtt_sum /. float_of_int (Stdlib.max 1 t.acked_in_round))
+    vegas_diff t ~rtt_s:(t.fl.rtt_sum /. float_of_int (Stdlib.max 1 t.acked_in_round))
   in
   let rate = float_of_int (sliding_rate_cells t) in
   let growth =
@@ -430,7 +465,7 @@ let should_exit_ramp_up t ~now =
    probing, and toward W* itself on exit, instead of doubling and then
    compensating. *)
 let predictive_ramp_round_end t ~now =
-  if not (model_identifiable t ~now) then begin
+  if not (model_identifiable t) then begin
     if debug then
       Printf.eprintf "[%8.1fms] %s FALLBACK: model unidentifiable\n"
         (Engine.Time.to_ms_f now) t.debug_label;
@@ -438,7 +473,7 @@ let predictive_ramp_round_end t ~now =
     leave_ramp_up t ~now ~new_cwnd:t.cwnd ~recalibrate:false
   end
   else begin
-    let w_star = recent_peak_rate_cells t ~now in
+    let w_star = recent_peak_rate_cells t in
     if should_exit_ramp_up t ~now then begin
       (* Capacity identified: plan down to the modelled BDP.  Mirrors
          [leave_ramp_up]'s bookkeeping, with the committed window taken
@@ -453,13 +488,13 @@ let predictive_ramp_round_end t ~now =
       t.prev_rate <- None;
       t.stall_rounds <- 0;
       t.queue_rounds <- 0;
-      start_round ~now t
+      start_round t
     end
     else begin
       t.rounds <- t.rounds + 1;
       let base = t.cwnd in
       plan_and_commit t ~now ~target:(2 * w_star);
-      start_round ~now t;
+      start_round t;
       (* Same pacing convention as [double_round]: one round = the
          flight at the round's start; the allowance interpolates from
          it up to the committed window. *)
@@ -471,7 +506,7 @@ let predictive_ramp_round_end t ~now =
 let ramp_up_round_end t ~now =
   if not t.limited_in_round then begin
     t.rounds <- t.rounds + 1;
-    start_round ~now t
+    start_round t
   end
   else
     match t.strategy with
@@ -479,7 +514,7 @@ let ramp_up_round_end t ~now =
     | Circuit_start ->
         if should_exit_ramp_up t ~now then
           leave_ramp_up t ~now
-            ~new_cwnd:(compensated_cwnd t ~now)
+            ~new_cwnd:(compensated_cwnd t)
             ~recalibrate:(t.params.compensation = Params.Rate_based)
         else double_round t ~now
     | Predictive -> predictive_ramp_round_end t ~now
@@ -488,9 +523,9 @@ let ramp_up_round_end t ~now =
            [ramp_up_feedback]); reaching the round boundary just rolls
            the round over. *)
         t.rounds <- t.rounds + 1;
-        start_round ~now t
+        start_round t
 
-let ramp_up_feedback t ~now ~diff_sample =
+let ramp_up_feedback t ~now =
   (match t.strategy with
   | Slow_start ->
       (* The traditional transplant: continuous growth (one cell per
@@ -500,7 +535,7 @@ let ramp_up_feedback t ~now ~diff_sample =
          multi-hop cascade this mistakes a successor's own ramp-up for
          congestion, which is precisely the deficiency CircuitStart's
          round-based timing analysis removes (paper §2). *)
-      if diff_sample > t.params.gamma && t.samples_total >= 4 then
+      if t.fl.diff > t.params.gamma && t.samples_total >= 4 then
         leave_ramp_up t ~now ~new_cwnd:(t.cwnd / 2) ~recalibrate:false
       else begin
         if t.limited_in_round then set_cwnd t ~now (t.cwnd + 1);
@@ -510,7 +545,7 @@ let ramp_up_feedback t ~now ~diff_sample =
       if t.acked_in_round >= t.round_target then ramp_up_round_end t ~now)
 
 let avoidance_round_end t ~now =
-  let mean_rtt_s = t.round_rtt_sum /. float_of_int t.acked_in_round in
+  let mean_rtt_s = t.fl.rtt_sum /. float_of_int t.acked_in_round in
   let diff = vegas_diff t ~rtt_s:mean_rtt_s in
   t.rounds <- t.rounds + 1;
   record_round_rate t ~now;
@@ -524,7 +559,7 @@ let avoidance_round_end t ~now =
        the current window's doing.  A round cap bounds the phase. *)
     set_cwnd t ~now (Stdlib.max t.cwnd (sliding_rate_cells t));
     t.recalibrate <- (if diff <= t.params.beta then 0 else t.recalibrate - 1);
-    start_round ~now t
+    start_round t
   end
   else begin
   (match t.strategy with
@@ -536,14 +571,14 @@ let avoidance_round_end t ~now =
          rounds probe one cell like Vegas, and an unidentifiable round
          triggers the permanent fallback. *)
       t.calm_rounds <- 0;
-      if not (model_identifiable t ~now) then begin
+      if not (model_identifiable t) then begin
         if debug then
           Printf.eprintf "[%8.1fms] %s FALLBACK: model unidentifiable\n"
             (Engine.Time.to_ms_f now) t.debug_label;
         t.fallen_back <- true
       end
       else begin
-        let w_star = recent_peak_rate_cells t ~now in
+        let w_star = recent_peak_rate_cells t in
         let target =
           if diff > t.params.beta then Stdlib.min w_star (t.cwnd - 1)
           else if diff < t.params.alpha && t.limited_in_round then t.cwnd + 1
@@ -567,53 +602,49 @@ let avoidance_round_end t ~now =
     && (match t.strategy with
        | Circuit_start | Slow_start -> true
        | Fixed _ | Predictive -> false)
-  then enter_ramp_up t ~now
-  else start_round ~now t
+  then enter_ramp_up t
+  else start_round t
   end
 
 let on_feedback t ~now ~rtt ?(window_limited = true) () =
   if Engine.Time.(rtt <= Engine.Time.zero) then
     invalid_arg "Controller.on_feedback: rtt must be positive";
-  (match t.base_rtt with
-  | None -> t.base_rtt <- Some rtt
-  | Some b -> if Engine.Time.(rtt < b) then t.base_rtt <- Some rtt);
+  if Engine.Time.(now < t.last_now) then
+    invalid_arg "Controller.on_feedback: now must not decrease";
+  t.last_now <- now;
+  let base =
+    match t.base_rtt with
+    | Some b when Engine.Time.(b <= rtt) -> b
+    | Some _ | None ->
+        t.base_rtt <- Some rtt;
+        rtt
+  in
   t.acked_in_round <- t.acked_in_round + 1;
   t.samples_total <- t.samples_total + 1;
   if window_limited then t.limited_in_round <- true;
   (* Maintain the sliding feedback window (several baseRtts: averaging
      across a few RTTs keeps the rate estimate burst-proof — a queue
      release can dump a whole flight of feedbacks into one RTT). *)
-  Queue.push now t.recent_feedbacks;
-  (match t.base_rtt with
-  | Some base ->
-      let cutoff = Engine.Time.sub now (Engine.Time.mul_int base rate_window_rtts) in
-      let rec drop () =
-        match Queue.peek_opt t.recent_feedbacks with
-        | Some ts when Engine.Time.(ts <= cutoff) ->
-            ignore (Queue.pop t.recent_feedbacks : Engine.Time.t);
-            drop ()
-        | Some _ | None -> ()
-      in
-      drop ()
-  | None -> ());
-  let c1 = count_within t ~now ~rtts:1 in
+  push_feedback t ~now ~base;
+  let c1 = count_within t in
   if c1 > t.round_count1_max then t.round_count1_max <- c1;
-  if t.round_started_at = None then
-    (* The round effectively began when its first cell left. *)
-    t.round_started_at <- Some (Engine.Time.sub now rtt);
   let rtt_s = Engine.Time.to_sec_f rtt in
-  t.round_rtt_sum <- t.round_rtt_sum +. rtt_s;
-  if rtt_s < t.round_rtt_min then t.round_rtt_min <- rtt_s;
-  if rtt_s > t.round_rtt_max then t.round_rtt_max <- rtt_s;
+  let r = t.fl in
+  r.rtt_sum <- r.rtt_sum +. rtt_s;
+  if rtt_s < r.rtt_min then r.rtt_min <- rtt_s;
+  if rtt_s > r.rtt_max then r.rtt_max <- rtt_s;
+  r.diff <- vegas_diff t ~rtt_s;
   match t.phase with
-  | Ramp_up ->
-      let diff_sample = vegas_diff t ~rtt_s in
-      t.latest_diff <- Some diff_sample;
-      ramp_up_feedback t ~now ~diff_sample
+  | Ramp_up -> ramp_up_feedback t ~now
   | Avoidance ->
-      t.latest_diff <- Some (vegas_diff t ~rtt_s);
       if t.acked_in_round >= t.round_target then avoidance_round_end t ~now
 
 let pp_phase fmt = function
   | Ramp_up -> Format.pp_print_string fmt "ramp-up"
   | Avoidance -> Format.pp_print_string fmt "avoidance"
+
+module Private = struct
+  let count_within = count_within
+  let sliding_rate_cells = sliding_rate_cells
+  let recent_peak_rate_cells = recent_peak_rate_cells
+end

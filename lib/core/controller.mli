@@ -89,8 +89,10 @@ val on_feedback :
 (** Account one feedback message whose cell experienced [rtt].
     [window_limited] (default [true]) says whether the sender was
     actually constrained by the window around this feedback; rounds
-    that were never window-limited do not grow.  Raises
-    [Invalid_argument] if [rtt] is not positive. *)
+    that were never window-limited do not grow.  [now] must not
+    decrease from one call to the next: the rate windows slide forward
+    only.  Raises [Invalid_argument] if [rtt] is not positive or [now]
+    is earlier than the previous feedback's. *)
 
 val base_rtt : t -> Engine.Time.t option
 (** Minimum RTT observed so far. *)
@@ -159,3 +161,17 @@ val set_debug_label : t -> string -> unit
 (** Label used by the [CIRCUITSTART_DEBUG] diagnostic output. *)
 
 val pp_phase : Format.formatter -> phase -> unit
+
+(** Internals exposed for the reference-model property tests. *)
+module Private : sig
+  val count_within : t -> int
+  (** Feedbacks within the last baseRtt, as of the latest feedback. *)
+
+  val sliding_rate_cells : t -> int
+  (** Feedbacks within the last three baseRtts, divided by three and
+      rounded. *)
+
+  val recent_peak_rate_cells : t -> int
+  (** The rate estimate behind [Rate_based] compensation and [W*]: the
+      best one-baseRtt count of this round and the last few. *)
+end

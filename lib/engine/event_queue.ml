@@ -17,12 +17,7 @@
    at all. *)
 
 type 'a entry = {
-  mutable time : Time.t;
-  (* Unboxed nanosecond mirror of [time], clamped at the [huge_ns]
-     horizon (see [ns_mirror]).  Heap sifts compare entries ~20 times
-     per event at scale; comparing plain ints keeps that in registers
-     where boxed [Int64.compare] costs an external call per probe. *)
-  mutable time_ns : int;
+  mutable time : Time.t;  (* an immediate int: compares stay in registers *)
   mutable seq : int;
   mutable payload : 'a;
   mutable cancelled : bool;
@@ -52,15 +47,6 @@ let loc_buffer = -3
    (time, seq) for any setting, because every drained tick is sorted. *)
 let default_tick_bits = 16
 let default_wheel_slots = 256
-
-(* Ticks are plain ints.  Times at or beyond 2^62 ns (~146 simulated
-   years, e.g. [Time.max_value] used as "never") all clamp to one huge
-   tick, and negative times clamp to tick -1: entries sharing a clamped
-   tick still fire in exact (time, seq) order because every drained
-   tick is sorted.  The clamps also keep tick arithmetic far from int
-   overflow. *)
-let huge_ns = 0x4000_0000_0000_0000L
-let huge_tick = max_int - 1
 
 type 'a t = {
   (* Wheel geometry (fixed at creation). *)
@@ -97,19 +83,8 @@ type 'a t = {
    compared and never returned — the length fields guard every access —
    so an immediate stands in for the uninhabitable ['a].  This is the
    same trick the stdlib's [Dynarray] uses for its empty slots. *)
-(* The int mirror of a timestamp.  Exact for every time whose
-   magnitude is below [huge_ns] (all simulatable instants); beyond
-   that it clamps, and [entry_before] falls back to the exact boxed
-   compare when two mirrors collide, so ordering stays exact
-   everywhere. *)
-let ns_mirror time =
-  let ns = Time.to_ns time in
-  if Int64.compare ns huge_ns >= 0 then max_int
-  else if Int64.compare ns (Int64.neg huge_ns) <= 0 then min_int
-  else Int64.to_int ns
-
 let make_dummy () : 'a entry =
-  { time = Time.zero; time_ns = 0; seq = min_int; payload = Obj.magic ();
+  { time = Time.zero; seq = min_int; payload = Obj.magic ();
     cancelled = true; fired = true; where = loc_free; pos = -1 }
 
 let default_capacity = 256
@@ -140,16 +115,12 @@ let create ?(capacity = default_capacity) ?(tick_bits = default_tick_bits)
     dummy;
   }
 
-(* Strict order, monomorphised: timestamps compare as raw [int64]
+(* Strict order, monomorphised: timestamps compare as raw int
    nanoseconds so the hot path never goes through a closure or a
    polymorphic comparison. *)
 let entry_before a b =
-  if a.time_ns <> b.time_ns then a.time_ns < b.time_ns
-  else
-    (* Equal mirrors: either genuinely simultaneous (decide by seq) or
-       both clamped past the horizon (decide by the exact time). *)
-    let c = Int64.compare (Time.to_ns a.time) (Time.to_ns b.time) in
-    if c <> 0 then c < 0 else a.seq < b.seq
+  let ta = Time.to_ns a.time and tb = Time.to_ns b.time in
+  ta < tb || (ta = tb && a.seq < b.seq)
 
 let fresh_seq q =
   let s = q.next_seq in
@@ -240,14 +211,11 @@ let rec heap_settle q =
 (* ------------------------------------------------------------------ *)
 (* Wheel slots and drain buffer *)
 
-(* Tick of an entry, from its unboxed mirror: negative times clamp to
-   tick -1, times at or past the [huge_ns] horizon to [huge_tick], and
-   everything simulatable shifts exactly — same routing as computing
-   from the boxed time, without the [Int64] compares. *)
-let tick_of_entry q e =
-  if e.time_ns < 0 then -1
-  else if e.time_ns = max_int then huge_tick
-  else e.time_ns asr q.tick_bits
+(* Tick of an entry.  The cursor never goes negative, so negative
+   times land in the drain buffer; [Time.max_value] ("never") shifts to
+   a tick far below [max_int], which [advance] keeps as its "nothing
+   pending" sentinel. *)
+let tick_of_entry q e = Time.to_ns e.time asr q.tick_bits
 
 let slot_insert q e tk =
   let s = tk land q.wheel_mask in
@@ -408,7 +376,7 @@ let insert q e =
 
 let add q ~time payload =
   let entry =
-    { time; time_ns = ns_mirror time; seq = fresh_seq q; payload;
+    { time; seq = fresh_seq q; payload;
       cancelled = false; fired = false; where = loc_free; pos = -1 }
   in
   insert q entry;
@@ -442,7 +410,7 @@ let pop q =
 let pop_before q ~limit ~none =
   if settle q then begin
     let e = q.buffer.(0) in
-    if Int64.compare (Time.to_ns e.time) (Time.to_ns limit) <= 0 then begin
+    if Time.(e.time <= limit) then begin
       fire q e;
       e.payload
     end
@@ -492,7 +460,7 @@ let clear q =
 (* Reusable timers *)
 
 let timer _q payload =
-  { time = Time.zero; time_ns = 0; seq = 0; payload; cancelled = true;
+  { time = Time.zero; seq = 0; payload; cancelled = true;
     fired = false; where = loc_free; pos = -1 }
 
 let timer_armed e = e.where <> loc_free
@@ -510,7 +478,6 @@ let arm q e ~time =
     q.live <- q.live - 1
   end;
   e.time <- time;
-  e.time_ns <- ns_mirror time;
   e.seq <- fresh_seq q;
   e.cancelled <- false;
   e.fired <- false;

@@ -1,68 +1,69 @@
-type t = int64
+type t = int
 
-let zero = 0L
-let max_value = Int64.max_int
+let zero = 0
+let max_value = max_int
 
-let ns n = Int64.of_int n
-let us n = Int64.mul (Int64.of_int n) 1_000L
-let ms n = Int64.mul (Int64.of_int n) 1_000_000L
-let s n = Int64.mul (Int64.of_int n) 1_000_000_000L
+let ns n = n
+let us n = n * 1_000
+let ms n = n * 1_000_000
+let s n = n * 1_000_000_000
 
-let of_float_ns x =
+(* Floats convert only inside the representable range: [Float.to_int]
+   is unspecified beyond it, so an out-of-range duration is an error
+   rather than a silent wrap. *)
+let[@inline] of_float_ns x =
   if not (Float.is_finite x) then invalid_arg "Time: non-finite duration";
-  Int64.of_float (Float.round x)
+  let r = Float.round x in
+  if not (Float.abs r < 0x1p62) then invalid_arg "Time: duration out of range";
+  Float.to_int r
 
 let of_sec_f x = of_float_ns (x *. 1e9)
 let of_ms_f x = of_float_ns (x *. 1e6)
 
 let to_ns t = t
-let of_ns64 n = n
 
-let to_sec_f t = Int64.to_float t /. 1e9
-let to_ms_f t = Int64.to_float t /. 1e6
-let to_us_f t = Int64.to_float t /. 1e3
+let to_sec_f t = float_of_int t /. 1e9
+let to_ms_f t = float_of_int t /. 1e6
+let to_us_f t = float_of_int t /. 1e3
 
 (* Saturating addition: an event scheduled "never + delta" must stay
    "never", not wrap around to the distant past. *)
-let add a b =
-  let r = Int64.add a b in
-  if Int64.compare a 0L > 0 && Int64.compare b 0L > 0 && Int64.compare r 0L < 0
-  then Int64.max_int
-  else r
+let add (a : int) b =
+  let r = a + b in
+  if a > 0 && b > 0 && r < 0 then max_int else r
 
-let sub = Int64.sub
+let sub (a : int) b = a - b
 let diff later earlier = sub later earlier
-let mul_int t k = Int64.mul t (Int64.of_int k)
+let mul_int (t : int) k = t * k
 
-let div_int t k =
+let div_int (t : int) k =
   if k = 0 then raise Division_by_zero;
-  Int64.div t (Int64.of_int k)
+  t / k
 
-let scale t x = of_float_ns (Int64.to_float t *. x)
+let scale t x = of_float_ns (float_of_int t *. x)
 
 let ratio a b =
-  if Int64.equal b 0L then raise Division_by_zero;
-  Int64.to_float a /. Int64.to_float b
+  if b = 0 then raise Division_by_zero;
+  float_of_int a /. float_of_int b
 
-let compare = Int64.compare
-let equal = Int64.equal
-let ( < ) a b = compare a b < 0
-let ( <= ) a b = compare a b <= 0
-let ( > ) a b = compare a b > 0
-let ( >= ) a b = compare a b >= 0
-let min a b = if a <= b then a else b
-let max a b = if a >= b then a else b
-let is_negative t = Stdlib.( < ) (compare t zero) 0
+let compare (a : int) b = Int.compare a b
+let equal (a : int) b = a = b
+let ( < ) (a : int) b = a < b
+let ( <= ) (a : int) b = a <= b
+let ( > ) (a : int) b = a > b
+let ( >= ) (a : int) b = a >= b
+let min (a : int) b = if a <= b then a else b
+let max (a : int) b = if a >= b then a else b
+let is_negative (t : int) = t < 0
 
 let pp fmt t =
-  let lt64 a b = Stdlib.( < ) (Int64.compare a b) 0 in
-  let abs = Int64.abs t in
+  let abs = Stdlib.abs t in
   let sign = if is_negative t then "-" else "" in
-  if lt64 abs 1_000L then Format.fprintf fmt "%s%Ldns" sign abs
-  else if lt64 abs 1_000_000L then
-    Format.fprintf fmt "%s%.1fus" sign (Int64.to_float abs /. 1e3)
-  else if lt64 abs 1_000_000_000L then
-    Format.fprintf fmt "%s%.2fms" sign (Int64.to_float abs /. 1e6)
-  else Format.fprintf fmt "%s%.3fs" sign (Int64.to_float abs /. 1e9)
+  if abs < 1_000 then Format.fprintf fmt "%s%dns" sign abs
+  else if abs < 1_000_000 then
+    Format.fprintf fmt "%s%.1fus" sign (float_of_int abs /. 1e3)
+  else if abs < 1_000_000_000 then
+    Format.fprintf fmt "%s%.2fms" sign (float_of_int abs /. 1e6)
+  else Format.fprintf fmt "%s%.3fs" sign (float_of_int abs /. 1e9)
 
 let to_string t = Format.asprintf "%a" pp t

@@ -1,14 +1,15 @@
 (** Simulated time.
 
     Both instants and durations are represented as a number of
-    nanoseconds held in an [int64].  At nanosecond resolution an [int64]
-    covers roughly 292 years of simulated time, far beyond any experiment
-    in this repository.  Instants are measured from the simulation epoch
+    nanoseconds held in an immediate 63-bit [int], so time arithmetic
+    never allocates.  At nanosecond resolution that covers ±2{^62} ns,
+    roughly ±146 years of simulated time, far beyond any experiment in
+    this repository.  Instants are measured from the simulation epoch
     ([zero]); durations are plain differences of instants.  The two share
     one type on purpose: the arithmetic is the same and the simulator
     never needs wall-clock time. *)
 
-type t
+type t [@@immediate]
 (** An instant or duration, in nanoseconds. *)
 
 val zero : t
@@ -28,18 +29,16 @@ val s : int -> t
 
 val of_sec_f : float -> t
 (** [of_sec_f x] is the duration of [x] seconds, rounded to the nearest
-    nanosecond.  Raises [Invalid_argument] if [x] is not finite. *)
+    nanosecond.  Raises [Invalid_argument] if [x] is not finite or the
+    result lies beyond ±2{^62} ns. *)
 
 val of_ms_f : float -> t
 (** [of_ms_f x] is the duration of [x] milliseconds, rounded to the
     nearest nanosecond.  Raises [Invalid_argument] if [x] is not
-    finite. *)
+    finite or the result lies beyond ±2{^62} ns. *)
 
-val to_ns : t -> int64
+val to_ns : t -> int
 (** [to_ns t] is the raw nanosecond count. *)
-
-val of_ns64 : int64 -> t
-(** [of_ns64 n] is the instant/duration of [n] nanoseconds. *)
 
 val to_sec_f : t -> float
 (** [to_sec_f t] is [t] expressed in seconds. *)
@@ -68,7 +67,8 @@ val div_int : t -> int -> t
 
 val scale : t -> float -> t
 (** [scale t x] is [t] scaled by the float factor [x], rounded to the
-    nearest nanosecond. *)
+    nearest nanosecond.  Raises [Invalid_argument] if the result is not
+    finite or lies beyond ±2{^62} ns. *)
 
 val ratio : t -> t -> float
 (** [ratio a b] is [a / b] as a float.  Raises [Division_by_zero] if
@@ -91,7 +91,8 @@ val is_negative : t -> bool
 (** [is_negative t] is true iff [t] is a negative duration. *)
 
 val max_value : t
-(** The largest representable instant; used as "never". *)
+(** The largest representable instant, [2{^62} - 1] ns; used as
+    "never".  {!add} saturates here. *)
 
 val pp : Format.formatter -> t -> unit
 (** [pp fmt t] prints [t] with an automatically chosen unit

@@ -24,16 +24,37 @@ module Rate = struct
   let to_bps r = r
   let to_bytes_per_sec r = float_of_int r /. 8.
 
+  let ns_per_s = 1_000_000_000
+
+  (* Below this many bits, [bits * ns_per_s] fits in an int. *)
+  let direct_bits = max_int / ns_per_s
+
   let transmission_time r bytes =
     if bytes < 0 then invalid_arg "Rate.transmission_time: negative size";
-    (* ceil (bytes * 8 * 1e9 / r) nanoseconds, in int64 to avoid
-       overflow for large transfers on slow links. *)
-    let bits = Int64.mul (Int64.of_int bytes) 8L in
-    let num = Int64.mul bits 1_000_000_000L in
-    let r64 = Int64.of_int r in
-    let q = Int64.div num r64 in
-    let q = if Int64.equal (Int64.rem num r64) 0L then q else Int64.succ q in
-    Time.of_ns64 q
+    if bytes > max_int / 8 then invalid_arg "Rate.transmission_time: size out of range";
+    let bits = bytes * 8 in
+    (* ceil (bits * 1e9 / r) nanoseconds.  Up to [direct_bits] (~576 MB)
+       the product fits in 63 bits.  Beyond it, whole seconds and the
+       remainder's nanoseconds are computed apart, the latter by long
+       division one decimal digit at a time, so no intermediate exceeds
+       [10 * r]. *)
+    if bits <= direct_bits then begin
+      let num = bits * ns_per_s in
+      let q = num / r in
+      Time.ns (if num mod r = 0 then q else q + 1)
+    end
+    else begin
+      let secs = bits / r in
+      if secs >= max_int / ns_per_s || r > max_int / 10 then
+        invalid_arg "Rate.transmission_time: duration out of range";
+      let rem = ref (bits mod r) and frac = ref 0 in
+      for _ = 1 to 9 do
+        rem := !rem * 10;
+        frac := (!frac * 10) + (!rem / r);
+        rem := !rem mod r
+      done;
+      Time.ns ((secs * ns_per_s) + !frac + if !rem = 0 then 0 else 1)
+    end
 
   let bdp_bytes r rtt = int_of_float (to_bytes_per_sec r *. Time.to_sec_f rtt)
   let min a b = Stdlib.min a b

@@ -46,7 +46,9 @@ module Rate : sig
   (** [transmission_time r bytes] is the time it takes to serialize
       [bytes] bytes onto a link of rate [r], rounded up to a whole
       nanosecond so that back-to-back transmissions never overlap.
-      Raises [Invalid_argument] on negative [bytes]. *)
+      Exact for every size whose duration is representable.  Raises
+      [Invalid_argument] on negative [bytes], and on a size or duration
+      beyond the 63-bit range. *)
 
   val bdp_bytes : t -> Time.t -> int
   (** [bdp_bytes r rtt] is the bandwidth-delay product [r * rtt] in

@@ -1,8 +1,9 @@
 type t = {
   topo : Topology.t;
-  (* next_hop.(src).(dst) is the neighbour to forward to, -1 if
-     unreachable, src itself if dst = src. *)
-  next_hop : int array array;
+  (* route.(src).(dst) is the first link on the path, [None] if dst is
+     unreachable or dst = src.  Forwarding reads the link straight from
+     here: no adjacency lookup per packet. *)
+  route : Link.t option array array;
   local : (Packet.t -> unit) option array;
   mutable undeliverable : int;
 }
@@ -13,21 +14,21 @@ type t = {
    ordering). *)
 let compute_routes topo =
   let n = Topology.node_count topo in
-  let next_hop = Array.make_matrix n n (-1) in
+  let route = Array.make_matrix n n None in
   let nodes = Array.of_list (Topology.nodes topo) in
   let dijkstra src =
-    let dist = Array.make n Int64.max_int in
+    let dist = Array.make n max_int in
     let prev = Array.make n (-1) in
     let visited = Array.make n false in
     let src_i = Node_id.to_int src in
-    dist.(src_i) <- 0L;
+    dist.(src_i) <- 0;
     let module Pq = Set.Make (struct
-      type t = int64 * int
+      type t = int * int
 
       let compare (d1, n1) (d2, n2) =
-        match Int64.compare d1 d2 with 0 -> Int.compare n1 n2 | c -> c
+        match Int.compare d1 d2 with 0 -> Int.compare n1 n2 | c -> c
     end) in
-    let pq = ref (Pq.singleton (0L, src_i)) in
+    let pq = ref (Pq.singleton (0, src_i)) in
     while not (Pq.is_empty !pq) do
       let ((_, u) as min_elt) = Pq.min_elt !pq in
       pq := Pq.remove min_elt !pq;
@@ -39,9 +40,9 @@ let compute_routes topo =
             match Topology.link topo nodes.(u) v_id with
             | None -> ()
             | Some l ->
-                let w = Int64.add (Engine.Time.to_ns (Link.delay l)) 1L in
-                let alt = Int64.add dist.(u) w in
-                if Int64.compare alt dist.(v) < 0 then begin
+                let w = Engine.Time.to_ns (Link.delay l) + 1 in
+                let alt = dist.(u) + w in
+                if alt < dist.(v) then begin
                   dist.(v) <- alt;
                   prev.(v) <- u;
                   pq := Pq.add (alt, v) !pq
@@ -49,25 +50,29 @@ let compute_routes topo =
           (Topology.neighbors topo nodes.(u))
       end
     done;
-    (* First hop toward each destination: walk prev back to src. *)
+    (* First hop toward each destination: walk prev back to src.  The
+       destinations behind one neighbour share its [Some link]. *)
+    let first = Array.make n None in
+    List.iter
+      (fun v -> first.(Node_id.to_int v) <- Topology.link topo src v)
+      (Topology.neighbors topo src);
     for dst = 0 to n - 1 do
-      if dst = src_i then next_hop.(src_i).(dst) <- src_i
-      else if prev.(dst) >= 0 then begin
+      if dst <> src_i && prev.(dst) >= 0 then begin
         let hop = ref dst in
         while prev.(!hop) <> src_i && prev.(!hop) >= 0 do
           hop := prev.(!hop)
         done;
-        if prev.(!hop) = src_i then next_hop.(src_i).(dst) <- !hop
+        if prev.(!hop) = src_i then route.(src_i).(dst) <- first.(!hop)
       end
     done
   in
   Array.iter dijkstra nodes;
-  next_hop
+  route
 
 let create topo =
   let n = Topology.node_count topo in
   let t =
-    { topo; next_hop = compute_routes topo; local = Array.make n None;
+    { topo; route = compute_routes topo; local = Array.make n None;
       undeliverable = 0 }
   in
   (* Claim every link: arriving packets are either delivered locally or
@@ -80,15 +85,12 @@ let create topo =
       | None -> t.undeliverable <- t.undeliverable + 1
     else forward node p
   and forward node (p : Packet.t) =
-    let hop = t.next_hop.(Node_id.to_int node).(Node_id.to_int p.dst) in
-    if hop < 0 then
-      failwith
-        (Format.asprintf "Network: no route from %a to %a" Node_id.pp node Node_id.pp
-           p.dst)
-    else
-      match Topology.link topo node (Node_id.of_int hop) with
-      | None -> assert false (* next_hop only points at neighbours *)
-      | Some l -> Link.send l p
+    match t.route.(Node_id.to_int node).(Node_id.to_int p.dst) with
+    | Some l -> Link.send l p
+    | None ->
+        failwith
+          (Format.asprintf "Network: no route from %a to %a" Node_id.pp node
+             Node_id.pp p.dst)
   in
   List.iter
     (fun l -> Link.set_receiver l (fun p -> arrive (Link.dst l) p))
@@ -108,11 +110,7 @@ let next_packet_id t = Packet.next_id (Topology.packet_ids t.topo)
 
 let send t ?on_transmit (p : Packet.t) =
   let src_i = Node_id.to_int p.src and dst_i = Node_id.to_int p.dst in
-  if src_i <> dst_i && t.next_hop.(src_i).(dst_i) < 0 then
-    failwith
-      (Format.asprintf "Network.send: no route from %a to %a" Node_id.pp p.src
-         Node_id.pp p.dst);
-  if Node_id.equal p.src p.dst then
+  if src_i = dst_i then
     (* Loopback: deliver after the current event finishes, preserving
        event-driven semantics. *)
     ignore
@@ -122,20 +120,26 @@ let send t ?on_transmit (p : Packet.t) =
            | Some f -> f p
            | None -> t.undeliverable <- t.undeliverable + 1))
   else
-    match Topology.link t.topo p.src (Node_id.of_int t.next_hop.(src_i).(dst_i)) with
-    | None -> assert false
+    match t.route.(src_i).(dst_i) with
     | Some l -> Link.send l ?on_transmit p
+    | None ->
+        failwith
+          (Format.asprintf "Network.send: no route from %a to %a" Node_id.pp p.src
+             Node_id.pp p.dst)
 
 let path t a b =
   let a_i = Node_id.to_int a and b_i = Node_id.to_int b in
   if a_i = b_i then Some [ a ]
-  else if t.next_hop.(a_i).(b_i) < 0 then None
+  else if Option.is_none t.route.(a_i).(b_i) then None
   else begin
     let rec walk node acc =
-      if node = b_i then List.rev (b_i :: acc)
-      else walk t.next_hop.(node).(b_i) (node :: acc)
+      if Node_id.to_int node = b_i then List.rev (node :: acc)
+      else
+        match t.route.(Node_id.to_int node).(b_i) with
+        | Some l -> walk (Link.dst l) (node :: acc)
+        | None -> assert false (* every node on a route reaches b *)
     in
-    Some (List.map Node_id.of_int (walk a_i []))
+    Some (walk a [])
   end
 
 let hop_count t a b = Option.map (fun p -> List.length p - 1) (path t a b)

@@ -215,13 +215,15 @@ let unsafe_disable_pool_release = ref false
    ([rounds_through_down] and [depart_residue] go nonzero). *)
 let unsafe_disable_churn_kill = ref false
 
-(* Test/fuzz hook: when set, sharded runs skip the deferred outbox and
-   apply relay occupancy deltas immediately during the parallel window
-   — the broken exchange ordering the barrier protocol exists to
-   prevent.  Mid-window application makes each shard's view depend on
-   which slots it co-hosts, so shards=1 and shards=4 runs diverge; the
-   check harness's shard differential catches the divergence and
-   shrinks it to a replayable line. *)
+(* Test/fuzz hook: when set, sharded runs break the exchange ordering
+   the barrier protocol exists to enforce: each shard applies its own
+   occupancy deltas in place mid-window, while its peers' deltas still
+   wait for the barrier.  Each shard writes only a private copy of the
+   occupancy arrays, so the planted bug is wrong but deterministic: a
+   shard's view depends on which slots it co-hosts, so shards=1 and
+   shards=4 runs diverge every time, and the check harness's shard
+   differential catches the divergence and shrinks it to a replayable
+   line. *)
 let unsafe_unordered_exchange = ref false
 
 (* Live relay status at round level (mirrors [Tor_model.Directory.status]). *)
@@ -259,8 +261,11 @@ type state = {
   (* Relay population (struct of arrays). *)
   cap_cps : float array;  (* bandwidth in cells/sec *)
   lat_ns : int array;
-  active : int array;  (* circuits currently routed through the relay *)
-  load_cells : int array;  (* queued cells charged by those circuits *)
+  (* Occupancy, shared by every shard; mutable only so the
+     [unsafe_unordered_exchange] hook can swap in a shard-private view
+     for the parallel phase of a window. *)
+  mutable active : int array;  (* circuits currently routed through the relay *)
+  mutable load_cells : int array;  (* queued cells charged by those circuits *)
   cum_all : float array;  (* cumulative bandwidth weights, all relays *)
   exit_ids : int array;
   cum_exit : float array;
@@ -291,12 +296,6 @@ type state = {
      cost ~10 misses — at a million events per second that locality is
      the difference, not the arithmetic. *)
   circ : int array;  (* slots * stride; field offsets [f_*] below *)
-  (* [c_rtt.(i)] is the boxed [Time.t] of session [i]'s current
-     circuit's [f_rtt_ns], built once at arrival: without flambda every
-     [Time.ns] call allocates a fresh Int64 box, and the round timer
-     rearms ~50 times per lifetime.  Indexed per session (a slot hosts
-     at most one circuit at a time). *)
-  c_rtt : Engine.Time.t array;
   free : int array;
   mutable free_top : int;
   (* Session slots.  [s_timer] is filled right after construction (its
@@ -357,8 +356,6 @@ type state = {
   mutable ob_buf : int array;
   mutable ob_len : int;
 }
-
-let now_ns st = Int64.to_int (Engine.Time.to_ns (Engine.Sim.now st.sim))
 
 (* Bandwidth-weighted draw: binary search for the first cumulative
    weight exceeding a uniform draw over the total. *)
@@ -513,7 +510,9 @@ let think st i =
   Engine.Sim.Timer.arm_after st.sim st.s_timer.(i) (Engine.Time.of_sec_f delay)
 
 let complete st i p =
-  let dt_ns = now_ns st - st.circ.(p + f_started_ns) in
+  let dt_ns =
+    Engine.Time.to_ns (Engine.Sim.now st.sim) - st.circ.(p + f_started_ns)
+  in
   let ttlb = float_of_int dt_ns *. 1e-9 in
   st.ns_all <- st.ns_all + dt_ns;
   Engine.Stats.Sketch.add st.ttlb_all ttlb;
@@ -636,7 +635,8 @@ let round st i p =
       charge_hop st h2 delta;
       st.circ.(p + f_cwnd) <- cwnd'
     end;
-    Engine.Sim.Timer.arm_after st.sim st.s_timer.(i) st.c_rtt.(i)
+    Engine.Sim.Timer.arm_after st.sim st.s_timer.(i)
+      (Engine.Time.ns st.circ.(p + f_rtt_ns))
   end
 
 let register st r cwnd =
@@ -689,7 +689,7 @@ let churn_step st =
   let dt = Engine.Time.to_sec_f c.churn_tick in
   let p_leave = Float.min 1. (c.leave_hazard *. dt) in
   let p_join = Float.min 1. (c.join_hazard *. dt) in
-  let now = now_ns st in
+  let now = Engine.Time.to_ns (Engine.Sim.now st.sim) in
   for r = 0 to st.n_total - 1 do
     if st.rstatus.(r) = st_up then begin
       if p_leave > 0. && Engine.Rng.float st.churn_rng 1. < p_leave then
@@ -711,7 +711,7 @@ let churn_step st =
           else begin
             st.rstatus.(r) <- st_draining;
             st.drain_deadline_ns.(r) <-
-              now + Int64.to_int (Engine.Time.to_ns c.drain_grace)
+              now + Engine.Time.to_ns c.drain_grace
           end
         end
     end
@@ -804,17 +804,17 @@ let try_arrival st i =
         st.circ.(p + f_phase) <- phase_ramp);
     st.circ.(p + f_kind) <- (if elephant then 1 else 0);
     st.circ.(p + f_started_ns) <-
-      (if resume then st.s_res_started.(i) else now_ns st);
+      (if resume then st.s_res_started.(i)
+       else Engine.Time.to_ns (Engine.Sim.now st.sim));
     if resume then begin
       st.resumed <- st.resumed + 1;
       st.s_res_rem.(i) <- -1
     end;
     let rtt_ns =
-      let access = Int64.to_int (Engine.Time.to_ns st.config.access_delay) in
+      let access = Engine.Time.to_ns st.config.access_delay in
       2 * (st.lat_ns.(!g) + st.lat_ns.(!m) + st.lat_ns.(!e) + (2 * access))
     in
     st.circ.(p + f_rtt_ns) <- rtt_ns;
-    st.c_rtt.(i) <- Engine.Time.ns rtt_ns;
     let cwnd = st.circ.(p + f_cwnd) in
     register st !g cwnd;
     register st !m cwnd;
@@ -822,7 +822,7 @@ let try_arrival st i =
     st.s_circ.(i) <- p;
     st.live <- st.live + 1;
     if st.live > st.peak_active then st.peak_active <- st.live;
-    Engine.Sim.Timer.arm_after st.sim st.s_timer.(i) st.c_rtt.(i)
+    Engine.Sim.Timer.arm_after st.sim st.s_timer.(i) (Engine.Time.ns rtt_ns)
   end
 
 let step st i =
@@ -857,7 +857,7 @@ let build_states ~seed config =
   in
   let lat_ns =
     Array.map
-      (fun (s : Relay_gen.spec) -> Int64.to_int (Engine.Time.to_ns s.latency))
+      (fun (s : Relay_gen.spec) -> Engine.Time.to_ns s.latency)
       specs
   in
   let cum_all = Array.make n 0. in
@@ -926,7 +926,6 @@ let build_states ~seed config =
   let s_res_kind = Array.make slots 0 in
   let s_res_started = Array.make slots 0 in
   let circ = Array.make (slots * stride) 0 in
-  let c_rtt = Array.make slots Engine.Time.zero in
   let s_circ = Array.make slots (-1) in
   let states =
     Array.init k (fun j ->
@@ -968,7 +967,6 @@ let build_states ~seed config =
           s_res_kind;
           s_res_started;
           circ;
-          c_rtt;
           free =
             (if sharded then [||]
              else Array.init slots (fun i -> (slots - 1 - i) * stride));
@@ -1133,15 +1131,17 @@ let run_sharded ~seed states =
   let churn = st0.churn in
   let window_ns =
     let min_lat = Array.fold_left Stdlib.min max_int st0.lat_ns in
-    let access = Int64.to_int (Engine.Time.to_ns c.access_delay) in
+    let access = Engine.Time.to_ns c.access_delay in
     Stdlib.max 1 (2 * ((3 * min_lat) + (2 * access)))
   in
-  let tick_ns = Int64.to_int (Engine.Time.to_ns c.churn_tick) in
-  let epoch_ns = Int64.to_int (Engine.Time.to_ns c.epoch_period) in
-  let duration_ns = Int64.to_int (Engine.Time.to_ns c.duration) in
+  let tick_ns = Engine.Time.to_ns c.churn_tick in
+  let epoch_ns = Engine.Time.to_ns c.epoch_period in
+  let duration_ns = Engine.Time.to_ns c.duration in
   let relay_owner =
     Array.init st0.n_total (fun r -> Shard.relay_shard ~seed ~shards:k r)
   in
+  let shared_active = st0.active and shared_load = st0.load_cells in
+  let unordered = !unsafe_unordered_exchange in
   let team = Engine.Pool.Team.create ~shards:k () in
   Fun.protect ~finally:(fun () -> Engine.Pool.Team.shutdown team) @@ fun () ->
   let next_churn = ref tick_ns in
@@ -1150,7 +1150,7 @@ let run_sharded ~seed states =
   let extra_events = ref 0 in
   let running = ref true in
   while !running do
-    let now = now_ns st0 in
+    let now = Engine.Time.to_ns (Engine.Sim.now st0.sim) in
     let b = ref (now + window_ns) in
     if churn then begin
       if !next_churn < !b then b := !next_churn;
@@ -1159,20 +1159,41 @@ let run_sharded ~seed states =
     if duration_ns > 0 && duration_ns < !b then b := duration_ns;
     let b = !b in
     let until = Engine.Time.ns b in
-    (* The [unsafe_unordered_exchange] hook reverts to mid-window
-       in-place application — the broken ordering the barrier protocol
-       exists to prevent; see the hook's comment. *)
-    let defer = not !unsafe_unordered_exchange in
-    Array.iter (fun st -> st.defer <- defer) states;
+    if unordered then
+      (* The planted bug: every shard runs against a private copy of
+         the snapshot and writes its own deltas into it in place. *)
+      Array.iter
+        (fun st ->
+          st.active <- Array.copy shared_active;
+          st.load_cells <- Array.copy shared_load)
+        states
+    else Array.iter (fun st -> st.defer <- true) states;
     Engine.Pool.Team.run team (fun j -> Engine.Sim.run states.(j).sim ~until);
-    Array.iter (fun st -> st.defer <- false) states;
-    if defer then begin
+    if unordered then begin
+      (* Each view is the snapshot plus one shard's deltas: land the
+         sum of the differences, then point every shard back at the
+         shared arrays. *)
+      for r = 0 to st0.n_total - 1 do
+        let a0 = shared_active.(r) and l0 = shared_load.(r) in
+        Array.iter
+          (fun st ->
+            shared_active.(r) <- shared_active.(r) + st.active.(r) - a0;
+            shared_load.(r) <- shared_load.(r) + st.load_cells.(r) - l0)
+          states
+      done;
+      Array.iter
+        (fun st ->
+          st.active <- shared_active;
+          st.load_cells <- shared_load)
+        states
+    end
+    else begin
+      Array.iter (fun st -> st.defer <- false) states;
       (* Exchange: deltas are additive ints, so applying every outbox's
          entries for the relays a shard owns — disjoint writes by
          ownership — lands totals independent of application order and
          of the shard count. *)
       Engine.Pool.Team.run team (fun j ->
-          let active = st0.active and load = st0.load_cells in
           for s = 0 to k - 1 do
             let src = states.(s) in
             let buf = src.ob_buf and len = src.ob_len in
@@ -1180,8 +1201,8 @@ let run_sharded ~seed states =
             while !idx < len do
               let r = buf.(!idx) in
               if relay_owner.(r) = j then begin
-                active.(r) <- active.(r) + buf.(!idx + 1);
-                load.(r) <- load.(r) + buf.(!idx + 2)
+                shared_active.(r) <- shared_active.(r) + buf.(!idx + 1);
+                shared_load.(r) <- shared_load.(r) + buf.(!idx + 2)
               end;
               idx := !idx + 3
             done

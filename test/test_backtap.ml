@@ -208,6 +208,78 @@ let test_hop_sender_spurious_feedback () =
   Engine.Sim.run sim;
   Alcotest.(check int) "one spurious" 1 (Backtap.Hop_sender.spurious_feedback sender)
 
+(* One cell stuck retransmitting while more than 64 later cells are
+   acked: the live sequence numbers span more than the inflight table's
+   initial size, so the table must grow rather than let a newer cell
+   overwrite the stuck one.  Feedback for a sequence number that is
+   acked already, that aliases a live slot, or that was never sent must
+   count as spurious, and [abort] must empty the table. *)
+let test_hop_sender_wide_seq_span () =
+  let sim, _, leaves, sbs, bts = mk_net 2 in
+  let controller = Circuitstart.Controller.create (Circuitstart.Controller.Fixed 200) in
+  let sender =
+    Backtap.Hop_sender.create ~sb:sbs.(0) ~circuit:circ ~succ:leaves.(1) ~controller ()
+  in
+  Backtap.Node.register_flow bts.(0) circ
+    {
+      Backtap.Node.on_cell = (fun ~from:_ ~hop_seq:_ _ -> ());
+      on_feedback = (fun ~hop_seq -> Backtap.Hop_sender.on_feedback sender ~hop_seq);
+    };
+  (* The successor acks every cell but hop_seq 0, until released. *)
+  let release_zero = ref false in
+  Backtap.Node.register_flow bts.(1) circ
+    {
+      Backtap.Node.on_cell =
+        (fun ~from:_ ~hop_seq _ ->
+          if hop_seq <> 0 || !release_zero then
+            Tor_model.Switchboard.send_payload sbs.(1) ~dst:leaves.(0)
+              ~size:Backtap.Wire.feedback_size
+              (Backtap.Wire.Bt_feedback { circuit = circ; hop_seq }));
+      on_feedback = (fun ~hop_seq:_ -> ());
+    };
+  let cells = 150 in
+  for seq = 0 to cells - 1 do
+    Backtap.Hop_sender.submit sender (data_cell seq)
+  done;
+  (* Past the first retransmission of hop_seq 0 (rto_initial is 1 s). *)
+  Engine.Sim.run sim ~until:(Engine.Time.ms 1500);
+  Alcotest.(check int) "only the stuck cell in flight" 1
+    (Backtap.Hop_sender.inflight sender);
+  Alcotest.(check int) "every later cell acked" (cells - 1)
+    (Backtap.Hop_sender.feedback_received sender);
+  Alcotest.(check bool) "the stuck cell retransmitted" true
+    (Backtap.Hop_sender.retransmissions sender >= 1);
+  Alcotest.(check int) "no spurious feedback yet" 0
+    (Backtap.Hop_sender.spurious_feedback sender);
+  (* Already acked (64, 149), aliasing the stuck cell's slot at any
+     power-of-two size up to 256 (256), never sent (-1, 1000). *)
+  List.iter
+    (fun hop_seq -> Backtap.Hop_sender.on_feedback sender ~hop_seq)
+    [ 64; 149; 256; -1; 1000 ];
+  Alcotest.(check int) "stale and aliased feedback is spurious" 5
+    (Backtap.Hop_sender.spurious_feedback sender);
+  Alcotest.(check int) "the stuck cell still in flight" 1
+    (Backtap.Hop_sender.inflight sender);
+  (* The stuck cell still matches its own feedback after the growth. *)
+  release_zero := true;
+  Engine.Sim.run sim ~until:(Engine.Time.s 10);
+  Alcotest.(check bool) "drained once released" true (Backtap.Hop_sender.idle sender);
+  Alcotest.(check int) "every cell acked" cells
+    (Backtap.Hop_sender.feedback_received sender);
+  (* Abort with a fresh stuck span in flight. *)
+  release_zero := false;
+  for seq = 0 to 9 do
+    Backtap.Hop_sender.submit sender (data_cell seq)
+  done;
+  Alcotest.(check int) "new cells in flight" 10 (Backtap.Hop_sender.inflight sender);
+  Backtap.Hop_sender.abort sender;
+  Alcotest.(check int) "abort empties the table" 0 (Backtap.Hop_sender.inflight sender);
+  Alcotest.(check bool) "idle after abort" true (Backtap.Hop_sender.idle sender);
+  let retx = Backtap.Hop_sender.retransmissions sender in
+  Engine.Sim.run sim;
+  Alcotest.(check int) "no retransmission after abort" retx
+    (Backtap.Hop_sender.retransmissions sender)
+
 (* A sender facing a successor that never answers must retransmit on an
    exponentially backed-off schedule and trip its budget at a
    computable instant — this is the failure-detection bound the whole
@@ -698,6 +770,8 @@ let () =
           Alcotest.test_case "ack at wire departure" `Quick test_hop_sender_ack_at_wire;
           Alcotest.test_case "retransmission" `Quick test_hop_sender_retransmission;
           Alcotest.test_case "spurious feedback" `Quick test_hop_sender_spurious_feedback;
+          Alcotest.test_case "sequence span wider than the table" `Quick
+            test_hop_sender_wide_seq_span;
           Alcotest.test_case "backoff and trip" `Quick test_hop_sender_backoff_and_trip;
           Alcotest.test_case "karn's rule" `Quick test_hop_sender_karn_rule;
           Alcotest.test_case "stale transmit after recycle" `Quick

@@ -55,7 +55,13 @@ let test_rtt_validation () =
   let ctrl = C.create C.Circuit_start in
   Alcotest.check_raises "zero rtt"
     (Invalid_argument "Controller.on_feedback: rtt must be positive") (fun () ->
-      C.on_feedback ctrl ~now:(Engine.Time.ms 1) ~rtt:Engine.Time.zero ())
+      C.on_feedback ctrl ~now:(Engine.Time.ms 1) ~rtt:Engine.Time.zero ());
+  (* The rate windows only slide forward: time must not go back. *)
+  C.on_feedback ctrl ~now:(Engine.Time.ms 5) ~rtt:(Engine.Time.ms 1) ();
+  C.on_feedback ctrl ~now:(Engine.Time.ms 5) ~rtt:(Engine.Time.ms 1) ();
+  Alcotest.check_raises "decreasing now"
+    (Invalid_argument "Controller.on_feedback: now must not decrease") (fun () ->
+      C.on_feedback ctrl ~now:(Engine.Time.ms 4) ~rtt:(Engine.Time.ms 1) ())
 
 (* ------------------------------------------------------------------ *)
 (* Ramp-up: discrete doubling.
@@ -513,6 +519,53 @@ let prop_exit_recorded_once =
         script;
       !first_exit = C.exit_cwnd ctrl)
 
+(* The feedback rate windows against the deque they replaced: the
+   reference keeps every feedback instant of the last three baseRtts in
+   a [Queue.t] and counts the last baseRtt with [Queue.fold].  Trains
+   are non-decreasing in time (equal instants included), the RTT jumps
+   around so the base RTT drops mid-train, and bursts of sub-millisecond
+   gaps hold far more than the ring's initial 64 entries. *)
+let gen_rate_train =
+  QCheck2.Gen.(
+    pair (oneofl [ C.Circuit_start; C.Slow_start; C.Predictive ])
+      (list_size (int_range 1 600)
+         (pair
+            (frequency [ (9, int_range 0 300); (1, int_range 0 20_000) ])
+            (frequency [ (40, int_range 40_000 80_000); (1, int_range 1_000 40_000) ]))))
+
+let prop_rate_windows_match_queue_reference =
+  QCheck2.Test.make ~count:300
+    ~name:"ring rate windows equal the Queue.fold reference" gen_rate_train
+    (fun (strategy, train) ->
+      let ctrl = C.create strategy in
+      let q = Queue.create () in
+      let base = ref max_int and now = ref 0 and peak_so_far = ref 0 in
+      List.for_all
+        (fun (gap_us, rtt_us) ->
+          now := !now + (gap_us * 1_000);
+          let rtt = rtt_us * 1_000 in
+          if rtt < !base then base := rtt;
+          C.on_feedback ctrl ~now:(Engine.Time.ns !now) ~rtt:(Engine.Time.ns rtt) ();
+          Queue.push !now q;
+          while Queue.peek q <= !now - (3 * !base) do
+            ignore (Queue.pop q)
+          done;
+          let c1 =
+            Queue.fold (fun acc ts -> if ts > !now - !base then acc + 1 else acc) 0 q
+          in
+          if c1 > !peak_so_far then peak_so_far := c1;
+          let sliding =
+            int_of_float (Float.round (float_of_int (Queue.length q) /. 3.))
+          in
+          (* The peak folds in one-baseRtt counts of this round and a
+             few past ones, so it lies between the current count and the
+             largest count so far. *)
+          let peak = C.Private.recent_peak_rate_cells ctrl in
+          C.Private.count_within ctrl = c1
+          && C.Private.sliding_rate_cells ctrl = sliding
+          && c1 <= peak && peak <= !peak_so_far)
+        train)
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -528,6 +581,7 @@ let qtests =
       prop_circuitstart_ramp_matches_reference;
       prop_slow_start_ramp_matches_reference;
       prop_exit_compensation_tracks_bdp;
+      prop_rate_windows_match_queue_reference;
     ]
 
 let () =

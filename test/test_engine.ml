@@ -26,7 +26,12 @@ let test_time_arithmetic () =
 
 let test_time_saturation () =
   let huge = Engine.Time.max_value in
-  Alcotest.check time "add saturates" huge (Engine.Time.add huge (Engine.Time.s 1))
+  Alcotest.check time "add saturates" huge (Engine.Time.add huge (Engine.Time.s 1));
+  Alcotest.(check int) "max_value is 2^62 - 1 ns" max_int (Engine.Time.to_ns huge);
+  Alcotest.check time "add saturates from below" huge
+    (Engine.Time.add (Engine.Time.sub huge (Engine.Time.ns 10)) (Engine.Time.ns 20));
+  Alcotest.check time "add just below max" huge
+    (Engine.Time.add (Engine.Time.sub huge (Engine.Time.ns 10)) (Engine.Time.ns 10))
 
 let test_time_conversions () =
   Alcotest.(check (float 1e-12)) "to_sec_f" 0.002 (Engine.Time.to_sec_f (Engine.Time.ms 2));
@@ -42,6 +47,18 @@ let test_time_pp () =
 let test_time_invalid () =
   Alcotest.check_raises "non-finite" (Invalid_argument "Time: non-finite duration")
     (fun () -> ignore (Engine.Time.of_sec_f Float.nan));
+  let out_of_range = Invalid_argument "Time: duration out of range" in
+  (* 2^62 ns is about 4.61e9 s: one past the representable range. *)
+  Alcotest.check_raises "of_sec_f beyond 2^62 ns" out_of_range (fun () ->
+      ignore (Engine.Time.of_sec_f 4.7e9));
+  Alcotest.check_raises "of_sec_f below -2^62 ns" out_of_range (fun () ->
+      ignore (Engine.Time.of_sec_f (-4.7e9)));
+  Alcotest.check_raises "of_ms_f beyond 2^62 ns" out_of_range (fun () ->
+      ignore (Engine.Time.of_ms_f 4.7e12));
+  Alcotest.check_raises "scale beyond 2^62 ns" out_of_range (fun () ->
+      ignore (Engine.Time.scale (Engine.Time.s 4_000_000) 2e3));
+  Alcotest.check time "of_sec_f just inside the range"
+    (Engine.Time.s 4_000_000_000) (Engine.Time.of_sec_f 4e9);
   Alcotest.check_raises "div by zero" Division_by_zero (fun () ->
       ignore (Engine.Time.div_int (Engine.Time.s 1) 0))
 
@@ -78,10 +95,34 @@ let test_transmission_time () =
     (Engine.Time.s 1)
     (Engine.Units.Rate.transmission_time (Engine.Units.Rate.kbit 8) 1000);
   Alcotest.check time "ceil"
-    (Engine.Time.of_ns64 2_666_666_667L)
+    (Engine.Time.ns 2_666_666_667)
     (Engine.Units.Rate.transmission_time (Engine.Units.Rate.bps 3) 1);
   Alcotest.check time "zero bytes" Engine.Time.zero
     (Engine.Units.Rate.transmission_time (Engine.Units.Rate.mbit 1) 0)
+
+(* Sizes whose bit count times 1e9 overflows 63 bits take the split
+   path; expected values are exact ceil (bytes * 8e9 / rate). *)
+let test_transmission_time_large () =
+  let tt r bytes = Engine.Time.to_ns (Engine.Units.Rate.transmission_time r bytes) in
+  let bps = Engine.Units.Rate.bps in
+  Alcotest.(check int) "1 TiB at 1 Gbit/s" 8_796_093_022_208
+    (tt (bps 1_000_000_000) (1 lsl 40));
+  Alcotest.(check int) "1 GiB at 3 bit/s, rounded up" 2_863_311_530_666_666_667
+    (tt (bps 3) (1 lsl 30));
+  Alcotest.(check int) "600 MB at 7 Mbit/s" 685_714_285_715
+    (tt (bps 7_000_000) 600_000_000);
+  (* Both sides of the direct/split boundary agree with the exact
+     value. *)
+  Alcotest.(check int) "largest direct size" 658_812_288_000
+    (tt (bps 7_000_000) 576_460_752);
+  Alcotest.(check int) "first split size" 658_812_289_143
+    (tt (bps 7_000_000) 576_460_753);
+  Alcotest.check_raises "duration beyond the range"
+    (Invalid_argument "Rate.transmission_time: duration out of range") (fun () ->
+      ignore (tt (bps 1) (1 lsl 40)));
+  Alcotest.check_raises "size beyond the range"
+    (Invalid_argument "Rate.transmission_time: size out of range") (fun () ->
+      ignore (tt (bps 1) max_int))
 
 let test_bdp () =
   Alcotest.(check int) "bdp" 100_000
@@ -102,7 +143,7 @@ let prop_transmission_additive =
           (Engine.Units.Rate.transmission_time r a)
           (Engine.Units.Rate.transmission_time r b)
       in
-      Int64.abs (Int64.sub (Engine.Time.to_ns t_ab) (Engine.Time.to_ns t_sum)) <= 1L)
+      abs (Engine.Time.to_ns t_ab - Engine.Time.to_ns t_sum) <= 1)
 
 (* ------------------------------------------------------------------ *)
 (* Rng *)
@@ -906,6 +947,8 @@ let () =
         [
           Alcotest.test_case "rate constructors" `Quick test_rate_constructors;
           Alcotest.test_case "transmission time" `Quick test_transmission_time;
+          Alcotest.test_case "transmission time of large sizes" `Quick
+            test_transmission_time_large;
           Alcotest.test_case "bdp" `Quick test_bdp;
           Alcotest.test_case "sizes" `Quick test_sizes;
         ] );

@@ -461,17 +461,15 @@ let test_unordered_exchange_is_caught () =
             (match check sc with
             | Ok _ -> Alcotest.fail "scenario stopped failing on re-run"
             | Error reason ->
-                (* The planted bug is a data race (in-place cross-domain
-                   writes), so either differential may trip first: the
-                   shards=1-vs-4 digest comparison, or — when the racy
-                   runs happen to diverge between themselves — the
-                   same-seed repeat.  Both are the harness catching the
-                   unordered exchange. *)
+                (* The planted bug is deterministic (each shard sees
+                   its own deltas mid-window, its peers' only at the
+                   barrier), so the run is wrong the same way every
+                   time and only the shards=1-vs-4 differential can
+                   trip. *)
                 Alcotest.(check bool)
-                  (Printf.sprintf "a differential named in: %s" reason)
+                  (Printf.sprintf "the shard differential named in: %s" reason)
                   true
-                  (contains ~needle:"shard" reason
-                  || contains ~needle:"nondeterminism" reason));
+                  (contains ~needle:"shard" reason));
             (* The failure shrinks to a replayable one-line reproducer
                that still fails. *)
             let shrunk = Check.Harness.shrink ~selection sc in
@@ -776,6 +774,40 @@ let test_trajectory_speedup_row () =
         row.Analysis.Perf_gate.speedup_4
   | _ -> Alcotest.fail "wrong row count"
 
+(* An A/B report whose frozen baseline object precedes the engine it
+   measures: the headline comes from the "timer_wheel" object, not from
+   the first matching key. *)
+let test_trajectory_ab_headline () =
+  let r =
+    {|{
+  "pr": 4,
+  "targets": [
+    {"name": "timer-churn", "events": 1000000,
+     "heap_baseline": {"seconds": 0.75, "events_per_sec": 1333388.4,
+                       "minor_words_per_event": 34.31},
+     "timer_wheel": {"seconds": 0.28, "events_per_sec": 3517598.9,
+                     "minor_words_per_event": 8.18},
+     "speedup": 2.638},
+    {"name": "cell-storm", "events": 800000,
+     "heap_baseline": {"seconds": 0.48, "events_per_sec": 1654491.7,
+                       "minor_words_per_event": 33.50},
+     "timer_wheel": {"seconds": 0.28, "events_per_sec": 2855696.3,
+                     "minor_words_per_event": 9.69},
+     "speedup": 1.726}
+  ]
+}
+|}
+  in
+  match Analysis.Perf_gate.trajectory [ ("BENCH_pr4.json", r) ] with
+  | [ row ] ->
+      Alcotest.(check (option (float 1e-3))) "timer_wheel events/sec"
+        (Some 3517598.9) row.Analysis.Perf_gate.events_per_sec;
+      Alcotest.(check (option (float 1e-9))) "timer_wheel words/event" (Some 8.18)
+        row.Analysis.Perf_gate.minor_words_per_event;
+      Alcotest.(check (float 1e-9)) "per-target events still summed" 1_800_000.
+        row.Analysis.Perf_gate.sim_events
+  | _ -> Alcotest.fail "wrong row count"
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -838,5 +870,7 @@ let () =
           Alcotest.test_case "trajectory rows" `Quick test_trajectory;
           Alcotest.test_case "trajectory speedup row" `Quick
             test_trajectory_speedup_row;
+          Alcotest.test_case "trajectory A/B headline" `Quick
+            test_trajectory_ab_headline;
         ] );
     ]
