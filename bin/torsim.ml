@@ -93,10 +93,9 @@ let jobs_arg =
 
 let shards_arg =
   let doc =
-    "Shards for within-run parallelism: 0 = the classic single-domain \
-     engine, N >= 1 = partition the run across N domains (results are \
-     identical for every positive N), $(b,auto) = one shard per worker \
-     (honors \\$(b,CIRCUITSTART_JOBS))."
+    "Shards for within-run parallelism: partition the run across N \
+     domains (results are identical for every N; 0 runs as 1), \
+     $(b,auto) = one shard per worker (honors \\$(b,CIRCUITSTART_JOBS))."
   in
   let shard_count =
     let parse s =
@@ -109,7 +108,7 @@ let shards_arg =
     in
     Arg.conv (parse, Format.pp_print_int)
   in
-  Arg.(value & opt shard_count 0 & info [ "shards" ] ~docv:"N" ~doc)
+  Arg.(value & opt shard_count 1 & info [ "shards" ] ~docv:"N" ~doc)
 
 let csv_arg =
   let doc = "Write the raw series as CSV to $(docv)." in

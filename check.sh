@@ -33,8 +33,8 @@ echo "== predictive smoke: torsim network --strategy predictive =="
 dune exec bin/torsim.exe -- network --strategy predictive --relays 100 --circuits 400 --lifetimes 2000 --seed 7
 
 echo "== shard smoke: --shards 2 --jobs 2 byte-identical to --shards 1 =="
-# The sharded engine must compute the same result for every positive
-# shard count, whatever the domain count underneath.
+# The engine must compute the same result for every shard count,
+# whatever the domain count underneath.
 s1=$(mktemp) && s2=$(mktemp)
 dune exec bin/torsim.exe -- network --relays 100 --circuits 400 --lifetimes 2000 --seed 7 --shards 1 > "$s1"
 dune exec bin/torsim.exe -- network --relays 100 --circuits 400 --lifetimes 2000 --seed 7 --shards 2 --jobs 2 > "$s2"
@@ -49,5 +49,10 @@ echo "== invariant smoke: torsim check --runs 25 --seed 42 (60s budget) =="
 # jobs-1-vs-4 differential.  A failure prints a replayable
 # "torsim check --replay '<line>'" reproducer.
 timeout 60 dune exec bin/torsim.exe -- check --runs 25 --seed 42
+
+echo "== perf trajectory gate: bench/trajectory.exe over the checked-in BENCH_*.json =="
+# Regenerate a report with its bench target (see bench/perf_floors.txt)
+# before re-running the gate on fresh numbers.
+dune exec bench/trajectory.exe
 
 echo "OK"

@@ -36,11 +36,9 @@ type t = {
   grace_ms : int;  (* drain grace before survivors are killed *)
   epoch_ms : int;  (* directory snapshot refresh period *)
   spares : int;  (* relays that start down and join under join_pm *)
-  (* Network/churn-only: the sharded-engine dimension.  0 = classic
-     single-domain engine; k >= 1 runs the same scenario on the
-     windowed sharded engine, whose results must be identical for
-     every positive k — audited by the harness's shards=1-vs-4
-     differential. *)
+  (* Network/churn-only: the shard count the scenario runs at (old
+     lines' 0 runs as 1).  Results must be identical for every k —
+     audited by the harness's shards=1-vs-4 differential. *)
   shards : int;
 }
 
@@ -332,13 +330,8 @@ let gen_kind (only : kind option) : t QCheck2.Gen.t =
   let* grace_ms = match kind with Churn -> int_range 200 2_000 | _ -> pure 0 in
   let* epoch_ms = match kind with Churn -> int_range 500 5_000 | _ -> pure 0 in
   let* spares = match kind with Churn -> int_range 0 3 | _ -> pure 0 in
-  (* Half the round-level scenarios run on the classic engine, the
-     rest exercise the sharded one — whose shards=1-vs-4 differential
-     is what catches exchange-ordering bugs. *)
   let* shards =
-    match kind with
-    | Network | Churn -> frequencyl [ (2, 0); (1, 1); (1, 2); (1, 4) ]
-    | _ -> pure 0
+    match kind with Network | Churn -> oneofl [ 1; 2; 4 ] | _ -> pure 0
   in
   (* A third of the population gets a crawling client access link.
      Slow clients are the norm in deployed anonymity networks, and they
@@ -450,10 +443,6 @@ let shrink_candidates t =
   if t.position > 1 then add { t with position = 1 };
   if t.strategy = Ss then add { t with strategy = Cs };
   if t.strategy = Pr then add { t with strategy = Cs };
-  (* Dropping to the classic engine is the biggest simplification, but
-     a shard-differential failure needs shards > 0 to reproduce, so
-     also offer the minimal sharded form. *)
-  if t.shards > 0 then add { t with shards = 0 };
   if t.shards > 1 then add { t with shards = 1 };
   List.rev !cands
 

@@ -78,11 +78,10 @@ type t = {
   spares : int;
       (** Churn: relays that start down and join under [join_pm]. *)
   shards : int;
-      (** Network/churn: the engine dimension — 0 runs the classic
-          single-domain engine, [k >= 1] the windowed sharded engine,
-          whose results must be identical for every positive [k].  The
-          harness audits this with a shards=1-vs-4 result-digest
-          differential. *)
+      (** Network/churn: the shard count the scenario runs at ([0], from
+          old replay lines, runs as 1).  Results must be identical for
+          every [k]; the harness audits this with a shards=1-vs-4
+          result-digest differential. *)
 }
 
 val recovery_hops : int

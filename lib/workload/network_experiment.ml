@@ -9,23 +9,22 @@
    hop's fair share.  One event per circuit per round is what makes a
    million circuit lifetimes per run affordable.
 
-   All hot-path state is pooled flat records — the PR-4 free-list
-   pattern generalized from [Backtap.Hop_sender]'s pending pool:
+   All hot-path state is pooled flat records:
 
    - relay occupancy lives in [active]/[load_cells] int arrays charged
      and credited exactly like [Switchboard]'s budget counters (the
      admission predicate IS [Switchboard.within_budget]);
-   - circuit records are strided slices of one flat int array recycled
-     through an int-stack free list; arrival and teardown allocate
+   - circuit records are strided slices of one flat int array, slot [i]
+     always reusing record [i * stride]; arrival and teardown allocate
      nothing, and a round touches one cache-resident record;
    - TTLB analysis is streamed into fixed-bin {!Engine.Stats.Sketch}es,
      O(1) memory per circuit.
 
    Everything is a deterministic function of (seed, config): per-slot
    RNG streams are split from the master seed in a fixed order at
-   setup, so runs are byte-identical across [--jobs 1/2/4] and paired
-   CS-vs-SS comparisons share the identical population, arrival and
-   size draws. *)
+   setup, so runs are byte-identical across [--jobs 1/2/4] and every
+   shard count, and paired CS-vs-SS comparisons share the identical
+   population, arrival and size draws. *)
 
 type config = {
   relays : int;
@@ -65,15 +64,10 @@ type config = {
   sketch_bins : int;
   sketch_max : Engine.Time.t;
   retain_exact : bool;
-  (* Within-run parallelism: 0 = the classic single-domain engine
-     (byte-identical to pre-shard releases); k >= 1 = the sharded
-     engine, which partitions circuit slots into [min k slots]
-     contiguous shards driven in lockstep exchange windows.  The
-     sharded engine's results are identical for every positive k —
-     shards choose only how the same schedule is executed — but differ
-     (deterministically) from the classic engine's, whose relay
-     occupancy updates are applied mid-window instead of at window
-     boundaries. *)
+  (* Within-run parallelism: circuit slots are partitioned into
+     [min k slots] contiguous shards driven in lockstep exchange
+     windows (0 runs as 1).  Results are identical for every k — shards
+     choose only how the same schedule is executed. *)
   shards : int;
 }
 
@@ -106,7 +100,7 @@ let default_config =
     sketch_bins = 2_048;
     sketch_max = Engine.Time.s 600;
     retain_exact = false;
-    shards = 0;
+    shards = 1;
   }
 
 let validate_config c =
@@ -289,15 +283,13 @@ type state = {
   s_res_rem : int array;
   s_res_kind : int array;
   s_res_started : int array;
-  (* Circuit pool: flat records of [stride] ints each, free-list
-     recycled.  One strided record, not parallel arrays: a round event
-     touches every field of one circuit, so keeping the fields adjacent
-     costs ~2 cache lines per event where 10 separate 10^5-entry arrays
-     cost ~10 misses — at a million events per second that locality is
-     the difference, not the arithmetic. *)
+  (* Circuit pool: flat records of [stride] ints each, slot [i] always
+     on record [i * stride].  One strided record, not parallel arrays: a
+     round event touches every field of one circuit, so keeping the
+     fields adjacent costs ~2 cache lines per event where 10 separate
+     10^5-entry arrays cost ~10 misses — at a million events per second
+     that locality is the difference, not the arithmetic. *)
   circ : int array;  (* slots * stride; field offsets [f_*] below *)
-  free : int array;
-  mutable free_top : int;
   (* Session slots.  [s_timer] is filled right after construction (its
      callbacks close over the state record). *)
   mutable s_timer : Engine.Sim.Timer.t array;
@@ -326,8 +318,6 @@ type state = {
   mutable rounds_through_down : int;
   mutable depart_residue : int;
   mutable live : int;
-  mutable peak_active : int;
-  goal : int;
   ttlb_all : Engine.Stats.Sketch.t;
   ttlb_mice : Engine.Stats.Sketch.t;
   ttlb_elephants : Engine.Stats.Sketch.t;
@@ -340,21 +330,19 @@ type state = {
   mutable ns_elephants : int;
   exact : Engine.Stats.Samples.t option;
   cell_bytes : int;
-  (* Sharded-engine plumbing; inert on the classic path.  [sharded]
-     states own the contiguous slot range [shard_lo, shard_hi) and
-     share every relay-level array (and the slot-level stash/record
-     arrays) with their [peers]; each has its own [sim], counters and
+  (* Shard plumbing.  Each state owns a contiguous slot range and
+     shares every relay-level array (and the slot-level stash/record
+     arrays) with its [peers]; each has its own [sim], counters and
      sketches.  While [defer] is set — the parallel phase of an
-     exchange window — relay occupancy writes are appended to the
-     shard-local [ob_buf] outbox as (relay, d_active, d_load) int
-     triples and applied at the barrier, so every shard reads the same
-     frozen snapshot regardless of what its peers are doing. *)
-  sharded : bool;
+     exchange window — relay occupancy writes add into the shard's
+     per-relay [d_active]/[d_load] deltas, which the barrier lands in
+     the shared arrays, so every shard reads the same frozen snapshot
+     regardless of what its peers are doing. *)
   mutable defer : bool;
   mutable peers : state array;
-  slot_shard : int array;  (* slot -> owning shard; [||] classic *)
-  mutable ob_buf : int array;
-  mutable ob_len : int;
+  slot_shard : int array;  (* slot -> owning shard *)
+  d_active : int array;
+  d_load : int array;
 }
 
 (* Bandwidth-weighted draw: binary search for the first cumulative
@@ -445,38 +433,26 @@ let hop_ok st r =
   end
   else admits st r
 
-(* Append one occupancy delta to the shard's outbox.  The buffer only
-   ever grows (length reset per window), so after the first few windows
-   the hot path is three int stores — allocation-free. *)
-let ob_push st r d_active d_load =
-  let len = st.ob_len in
-  if len + 3 > Array.length st.ob_buf then begin
-    let grown = Array.make (Stdlib.max 192 (2 * Array.length st.ob_buf)) 0 in
-    Array.blit st.ob_buf 0 grown 0 len;
-    st.ob_buf <- grown
-  end;
-  st.ob_buf.(len) <- r;
-  st.ob_buf.(len + 1) <- d_active;
-  st.ob_buf.(len + 2) <- d_load;
-  st.ob_len <- len + 3
-
 let charge_hop st r delta_cells =
-  if st.defer then ob_push st r 0 delta_cells
+  if st.defer then st.d_load.(r) <- st.d_load.(r) + delta_cells
   else st.load_cells.(r) <- st.load_cells.(r) + delta_cells
 
 (* Return a circuit record to the pool.  Crediting the occupancy back
    to the relays is the part a recycling bug forgets — modeled by the
    [unsafe_disable_pool_release] hook. *)
 let unregister st r cwnd =
-  if st.defer then ob_push st r (-1) (-cwnd)
+  if st.defer then begin
+    st.d_active.(r) <- st.d_active.(r) - 1;
+    st.d_load.(r) <- st.d_load.(r) - cwnd
+  end
   else begin
     st.active.(r) <- st.active.(r) - 1;
     st.load_cells.(r) <- st.load_cells.(r) - cwnd
   end
 
 (* [p] is the record's base offset into [st.circ] (slot * stride) —
-   the free list and the session slots store base offsets directly, so
-   the hot path never multiplies. *)
+   the session slots store base offsets directly, so the hot path never
+   multiplies. *)
 let release st p =
   if not !unsafe_disable_pool_release then begin
     let cwnd = st.circ.(p + f_cwnd) in
@@ -484,15 +460,7 @@ let release st p =
     unregister st st.circ.(p + f_hop1) cwnd;
     unregister st st.circ.(p + f_hop2) cwnd
   end;
-  st.live <- st.live - 1;
-  (* Sharded states pin slot [i]'s circuit to record [i * stride] (a
-     slot hosts at most one circuit, and a shared free list would make
-     pop order depend on the shard count), so only the classic engine
-     recycles through the free list. *)
-  if not st.sharded then begin
-    st.free.(st.free_top) <- p;
-    st.free_top <- st.free_top + 1
-  end
+  st.live <- st.live - 1
 
 let diurnal_factor st =
   let a = st.config.diurnal_amplitude in
@@ -532,7 +500,7 @@ let complete st i p =
   release st p;
   st.s_circ.(i) <- -1;
   st.completed <- st.completed + 1;
-  if st.completed >= st.goal then Engine.Sim.stop st.sim else think st i
+  think st i
 
 (* One RTT round: deliver against the bottleneck hop's fair share, then
    advance the window exactly like the controller does at round
@@ -640,7 +608,10 @@ let round st i p =
   end
 
 let register st r cwnd =
-  if st.defer then ob_push st r 1 cwnd
+  if st.defer then begin
+    st.d_active.(r) <- st.d_active.(r) + 1;
+    st.d_load.(r) <- st.d_load.(r) + cwnd
+  end
   else begin
     st.active.(r) <- st.active.(r) + 1;
     st.load_cells.(r) <- st.load_cells.(r) + cwnd
@@ -666,9 +637,8 @@ let kill_through st r =
         st.s_res_kind.(i) <- st.circ.(p + f_kind);
         st.s_res_started.(i) <- st.circ.(p + f_started_ns);
         (* Timers are bound to their creating sim, so the release and
-           the rearm must go through the slot's owning shard's state
-           (the classic engine owns every slot). *)
-        let ow = if st.sharded then st.peers.(st.slot_shard.(i)) else st in
+           the rearm must go through the slot's owning shard's state. *)
+        let ow = st.peers.(st.slot_shard.(i)) in
         release ow p;
         st.s_circ.(i) <- -1;
         think ow i
@@ -763,14 +733,7 @@ let try_arrival st i =
     think st i
   end
   else begin
-    let p =
-      if st.sharded then i * stride
-      else begin
-        assert (st.free_top > 0);
-        st.free_top <- st.free_top - 1;
-        st.free.(st.free_top)
-      end
-    in
+    let p = i * stride in
     if st.circ.(p + f_used) = 1 then st.pool_recycles <- st.pool_recycles + 1
     else st.circ.(p + f_used) <- 1;
     (* A pending resume (this slot's transfer was killed by a
@@ -821,7 +784,6 @@ let try_arrival st i =
     register st !e cwnd;
     st.s_circ.(i) <- p;
     st.live <- st.live + 1;
-    if st.live > st.peak_active then st.peak_active <- st.live;
     Engine.Sim.Timer.arm_after st.sim st.s_timer.(i) (Engine.Time.ns rtt_ns)
   end
 
@@ -829,16 +791,13 @@ let step st i =
   let p = st.s_circ.(i) in
   if p < 0 then try_arrival st i else round st i p
 
-(* Shared construction for both engines: the population, the weight
-   tables, the slot/relay arrays and the per-slot timers.  The RNG
-   split order (population, then one stream per slot, then churn) is
-   fixed and engine-independent, so the classic engine stays
-   byte-identical to historical seeds and the sharded engine's draws
-   are a pure function of (seed, slot) — independent of the shard
-   count.  Returns the states in shard order; the classic engine is
-   the single-state case. *)
+(* Construction: the population, the weight tables, the slot/relay
+   arrays and the per-slot timers.  The RNG split order (population,
+   then one stream per slot, then churn) is fixed, so every draw is a
+   pure function of (seed, slot) — independent of the shard count.
+   Returns the states in shard order. *)
 let build_states ~seed config =
-  let shards = config.shards in
+  let shards = Stdlib.max 1 config.shards in
   let rng = Engine.Rng.create seed in
   let pop_rng = Engine.Rng.split rng in
   let slot_rngs = Array.init config.slots (fun _ -> Engine.Rng.split rng) in
@@ -894,16 +853,13 @@ let build_states ~seed config =
       ()
   in
   let slots = config.slots in
-  let sharded = shards > 0 in
-  let k = if sharded then Shard.count ~slots ~shards else 1 in
+  let k = Shard.count ~slots ~shards in
   let slot_shard =
-    if sharded then
-      Array.init slots (fun i -> Shard.owner_of_slot ~slots ~shards i)
-    else [||]
+    Array.init slots (fun i -> Shard.owner_of_slot ~slots ~shards i)
   in
   (* Relay-level and slot-level arrays are shared by every shard state:
-     relay occupancy is frozen during parallel windows (writes go
-     through the outboxes), and each slot's record/stash/rng cells are
+     relay occupancy is frozen during parallel windows (writes go to
+     the per-shard deltas), and each slot's record/stash/rng cells are
      touched only by its owning shard between barriers. *)
   let active = Array.make n 0 in
   let load_cells = Array.make n 0 in
@@ -929,12 +885,8 @@ let build_states ~seed config =
   let s_circ = Array.make slots (-1) in
   let states =
     Array.init k (fun j ->
-        let span =
-          if sharded then
-            let lo, hi = Shard.slot_range ~slots ~shards j in
-            hi - lo
-          else slots
-        in
+        let lo, hi = Shard.slot_range ~slots ~shards j in
+        let span = hi - lo in
         (* RTT-scale round timers and sub-second think timers dominate
            this workload; widen the wheel window to ~1.07 s (2^20 ns
            ticks, 1024 slots) so the 10^5-strong steady-state timer
@@ -967,10 +919,6 @@ let build_states ~seed config =
           s_res_kind;
           s_res_started;
           circ;
-          free =
-            (if sharded then [||]
-             else Array.init slots (fun i -> (slots - 1 - i) * stride));
-          free_top = (if sharded then 0 else slots);
           s_timer = [||];
           s_rng = slot_rngs;
           s_circ;
@@ -996,8 +944,6 @@ let build_states ~seed config =
           rounds_through_down = 0;
           depart_residue = 0;
           live = 0;
-          peak_active = 0;
-          goal = (if sharded then max_int else lifetimes_goal config);
           ttlb_all = sketch ();
           ttlb_mice = sketch ();
           ttlb_elephants = sketch ();
@@ -1008,19 +954,17 @@ let build_states ~seed config =
             (if config.retain_exact then Some (Engine.Stats.Samples.create ())
              else None);
           cell_bytes = Backtap.Wire.cell_size;
-          sharded;
           defer = false;
           peers = [||];
           slot_shard;
-          ob_buf = [||];
-          ob_len = 0;
+          d_active = Array.make n 0;
+          d_load = Array.make n 0;
         })
   in
   Array.iter (fun st -> st.peers <- states) states;
-  let owner i = states.(if sharded then slot_shard.(i) else 0) in
+  let owner i = states.(slot_shard.(i)) in
   (* One timer per slot, created on the owning shard's sim (a timer is
-     bound to the sim that made it), in slot order — the same creation
-     order the classic engine has always used. *)
+     bound to the sim that made it), in slot order. *)
   let s_timer =
     Array.init slots (fun i ->
         let ow = owner i in
@@ -1032,10 +976,9 @@ let build_states ~seed config =
   done;
   states
 
-(* Teardown shared by both engines: release whatever was still in
-   flight at the horizon through each slot's owning state, then audit
-   the pool — with correct recycling every relay's occupancy returns to
-   zero. *)
+(* Teardown: release whatever was still in flight at the horizon
+   through each slot's owning state, then audit the pool — with correct
+   recycling every relay's occupancy returns to zero. *)
 let teardown states =
   let st0 = states.(0) in
   let abandoned = ref 0 in
@@ -1043,7 +986,7 @@ let teardown states =
     let p = st0.s_circ.(i) in
     if p >= 0 then begin
       incr abandoned;
-      let ow = if st0.sharded then states.(st0.slot_shard.(i)) else st0 in
+      let ow = states.(st0.slot_shard.(i)) in
       release ow p;
       st0.s_circ.(i) <- -1
     end
@@ -1052,78 +995,21 @@ let teardown states =
   let orphaned_cells = Array.fold_left ( + ) 0 st0.load_cells in
   (!abandoned, orphaned_circuits, orphaned_cells)
 
-(* The historical single-domain drive loop, byte-identical to pre-shard
-   releases: churn rides the sim's own [every] timers and occupancy
-   updates apply in place as events execute. *)
-let run_classic st =
-  let config = st.config in
-  let sim = st.sim in
-  (* Churn timers only exist when a hazard is set: churn-free runs add
-     zero events and zero per-event work beyond one boolean guard. *)
-  if st.churn then begin
-    let done_ () = st.completed >= st.goal in
-    Engine.Sim.every sim config.churn_tick (fun () -> churn_step st)
-      ~stop:done_;
-    Engine.Sim.every sim config.epoch_period (fun () -> advance_epoch st)
-      ~stop:done_
-  end;
-  if Engine.Time.(config.duration > Engine.Time.zero) then
-    Engine.Sim.run sim ~until:config.duration
-  else Engine.Sim.run sim;
-  let abandoned, orphaned_circuits, orphaned_cells = teardown [| st |] in
-  {
-    relays = config.relays;
-    slots = config.slots;
-    completed = st.completed;
-    mice = st.mice_done;
-    elephants = st.elephants_done;
-    arrivals = st.arrivals;
-    elephant_arrivals = st.elephant_arrivals;
-    refused_arrivals = st.refused_arrivals;
-    admission_redraws = st.admission_redraws;
-    abandoned;
-    delivered_cells = st.delivered_cells;
-    rounds = st.rounds;
-    pool_recycles = st.pool_recycles;
-    peak_active = st.peak_active;
-    ttlb_all = st.ttlb_all;
-    ttlb_mice = st.ttlb_mice;
-    ttlb_elephants = st.ttlb_elephants;
-    ttlb_exact =
-      (match st.exact with
-      | Some samples -> Engine.Stats.Samples.to_array samples
-      | None -> [||]);
-    orphaned_circuits;
-    orphaned_cells;
-    churn_departs = st.churn_departs;
-    churn_crashes = st.churn_crashes;
-    churn_drains_completed = st.churn_drains_completed;
-    churn_restarts = st.churn_restarts;
-    churn_epochs = st.churn_epochs;
-    churn_kills = st.churn_kills;
-    resumed = st.resumed;
-    gone_draws = st.gone_draws;
-    draining_refusals = st.draining_refusals;
-    rounds_through_down = st.rounds_through_down;
-    depart_residue = st.depart_residue;
-    end_time = Engine.Sim.now sim;
-    wall_events = Engine.Sim.events_executed sim;
-  }
-
-(* The sharded drive loop.  Time advances in exchange windows no wider
-   than the smallest achievable circuit RTT: within a window every
-   shard runs its own sim against the relay occupancy snapshot frozen
-   at the last barrier (occupancy writes divert to per-shard outboxes),
-   and at the barrier the outboxes — additive (relay, d_active,
-   d_load) deltas — are applied by relay ownership, churn and epoch
-   ticks fire at their exact times, and the stop conditions are
-   evaluated.  The window bound guarantees a circuit's first round
-   lands in a later window than its arrival, so every round already
-   sees its own registration; everything else a round reads is either
-   frozen shared state or slot-local, making the result a pure function
-   of (seed, config) — the same for every positive shard count.
+(* The drive loop.  Time advances in exchange windows no wider than the
+   smallest achievable circuit RTT: within a window every shard runs
+   its own sim against the relay occupancy snapshot frozen at the last
+   barrier (occupancy writes divert to per-shard deltas), and at the
+   barrier the calling domain adds the deltas into the shared
+   occupancy, churn and epoch ticks fire at their exact times, and the
+   stop conditions are evaluated.  The window bound guarantees a
+   circuit's first round lands in a later window than its arrival, so
+   every round already sees its own registration; everything else a
+   round reads is either frozen shared state or slot-local, making the
+   result a pure function of (seed, config) — the same for every shard
+   count.  A slot completes at most one lifetime per window, so the run
+   stops at the first barrier with [goal <= completed < goal + slots].
    Returns the result plus the worker domains' minor-words total. *)
-let run_sharded ~seed states =
+let run_windows states =
   let st0 = states.(0) in
   let k = Array.length states in
   let c = st0.config in
@@ -1137,9 +1023,6 @@ let run_sharded ~seed states =
   let tick_ns = Engine.Time.to_ns c.churn_tick in
   let epoch_ns = Engine.Time.to_ns c.epoch_period in
   let duration_ns = Engine.Time.to_ns c.duration in
-  let relay_owner =
-    Array.init st0.n_total (fun r -> Shard.relay_shard ~seed ~shards:k r)
-  in
   let shared_active = st0.active and shared_load = st0.load_cells in
   let unordered = !unsafe_unordered_exchange in
   let team = Engine.Pool.Team.create ~shards:k () in
@@ -1187,28 +1070,19 @@ let run_sharded ~seed states =
           st.load_cells <- shared_load)
         states
     end
-    else begin
-      Array.iter (fun st -> st.defer <- false) states;
-      (* Exchange: deltas are additive ints, so applying every outbox's
-         entries for the relays a shard owns — disjoint writes by
-         ownership — lands totals independent of application order and
-         of the shard count. *)
-      Engine.Pool.Team.run team (fun j ->
-          for s = 0 to k - 1 do
-            let src = states.(s) in
-            let buf = src.ob_buf and len = src.ob_len in
-            let idx = ref 0 in
-            while !idx < len do
-              let r = buf.(!idx) in
-              if relay_owner.(r) = j then begin
-                shared_active.(r) <- shared_active.(r) + buf.(!idx + 1);
-                shared_load.(r) <- shared_load.(r) + buf.(!idx + 2)
-              end;
-              idx := !idx + 3
-            done
-          done)
-    end;
-    Array.iter (fun st -> st.ob_len <- 0) states;
+    else
+      (* Exchange: deltas are additive ints, so landing every shard's
+         in turn gives totals independent of the shard count. *)
+      for s = 0 to k - 1 do
+        let st = states.(s) in
+        st.defer <- false;
+        for r = 0 to st0.n_total - 1 do
+          shared_active.(r) <- shared_active.(r) + st.d_active.(r);
+          shared_load.(r) <- shared_load.(r) + st.d_load.(r);
+          st.d_active.(r) <- 0;
+          st.d_load.(r) <- 0
+        done
+      done;
     let live = Array.fold_left (fun acc st -> acc + st.live) 0 states in
     if live > !peak then peak := live;
     if churn && b = !next_churn then begin
@@ -1302,9 +1176,7 @@ let run_with_words ~seed config =
     | Ok c -> c
     | Error msg -> invalid_arg ("Network_experiment.run: " ^ msg)
   in
-  let states = build_states ~seed config in
-  if config.shards = 0 then (run_classic states.(0), 0.)
-  else run_sharded ~seed states
+  run_windows (build_states ~seed config)
 
 let run ?(seed = 42) config = fst (run_with_words ~seed config)
 

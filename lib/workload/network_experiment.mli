@@ -15,13 +15,12 @@
 
     What makes that affordable:
 
-    - {b Pooled flat circuit state} — the PR-4 free-list pattern
-      generalized: circuits are parallel int arrays recycled through an
-      int-stack free list, relay occupancy is [active]/[load_cells]
-      counters charged and credited like {!Tor_model.Switchboard}'s
-      budget counters (admission is literally
-      {!Tor_model.Switchboard.within_budget}); arrival and teardown
-      allocate nothing.
+    - {b Pooled flat circuit state} — circuits are strided records of
+      one flat int array, slot [i] always reusing record [i]; relay
+      occupancy is [active]/[load_cells] counters charged and credited
+      like {!Tor_model.Switchboard}'s budget counters (admission is
+      literally {!Tor_model.Switchboard.within_budget}); arrival and
+      teardown allocate nothing.
     - {b Streaming analysis} — TTLBs go straight into fixed-bin
       {!Engine.Stats.Sketch}es (O(1) memory per circuit); exact
       retention is opt-in ([retain_exact]) for small-scale validation.
@@ -32,13 +31,15 @@
     ceiling; [elephant_fraction] of arrivals are bulk transfers, the
     rest mice, and an optional diurnal wave modulates the arrival rate.
     Deterministic per (seed, config): byte-identical across
-    [--jobs 1/2/4] and paired across strategies. *)
+    [--jobs 1/2/4] and every [shards] value, and paired across
+    strategies. *)
 
 type config = {
   relays : int;  (** Population size; at least 4. *)
   slots : int;  (** Concurrent session slots = circuit-pool size. *)
   target_lifetimes : int;
-      (** Stop after this many completed circuits; [0] = [10 * slots]. *)
+      (** Lifetime goal; [0] = [10 * slots].  See {!lifetimes_goal}
+          for how far past it a run stops. *)
   duration : Engine.Time.t;
       (** Optional sim-time horizon; [zero] = until the lifetime goal. *)
   population : Relay_gen.config;
@@ -89,27 +90,29 @@ type config = {
   retain_exact : bool;
       (** Also retain exact TTLBs (small scale only — O(n) memory). *)
   shards : int;
-      (** Within-run parallelism.  [0] (the default) is the classic
-          single-domain engine, byte-identical to pre-shard releases.
-          [k >= 1] partitions the circuit slots into [min k slots]
-          contiguous shards ({!Shard.slot_range}), each driven by its
-          own sim on its own domain, advancing in lockstep exchange
-          windows with a barrier at every boundary.  Results are
-          identical for {e every} positive [k] — the shard count
-          chooses how the schedule executes, never what it computes —
-          but deterministically different from [shards = 0], whose
-          occupancy updates apply mid-window. *)
+      (** Within-run parallelism: the circuit slots are partitioned
+          into [min k slots] contiguous shards ({!Shard.slot_range}),
+          each driven by its own sim on its own domain, advancing in
+          lockstep exchange windows no wider than the smallest circuit
+          RTT.  Relay occupancy changes made inside a window land at
+          its closing barrier.  Results are identical for {e every}
+          [k] — the shard count chooses how the schedule executes,
+          never what it computes.  [0] runs as one shard; the default
+          is 1. *)
 }
 
 val default_config : config
 (** 200 relays, 2000 slots, 20k lifetimes, 5% elephants of 4096 cells
-    over 32-cell mice, no budget, no diurnal wave. *)
+    over 32-cell mice, no budget, no diurnal wave, one shard. *)
 
 val validate_config : config -> (config, string) result
 
 val lifetimes_goal : config -> int
 (** The effective lifetime target: [target_lifetimes], or [10 * slots]
-    when it is 0. *)
+    when it is 0.  The goal is checked at every exchange barrier, and a
+    slot completes at most one lifetime per window, so a run without a
+    [duration] horizon stops with
+    [goal <= completed < goal + slots]. *)
 
 type result = {
   relays : int;
@@ -132,7 +135,8 @@ type result = {
   rounds : int;  (** RTT-round events executed. *)
   pool_recycles : int;
       (** Arrivals served by a previously released pool record. *)
-  peak_active : int;  (** Highest concurrent circuit count. *)
+  peak_active : int;
+      (** Highest concurrent circuit count at an exchange barrier. *)
   ttlb_all : Engine.Stats.Sketch.t;
   ttlb_mice : Engine.Stats.Sketch.t;
   ttlb_elephants : Engine.Stats.Sketch.t;
@@ -184,23 +188,26 @@ val unsafe_disable_churn_kill : bool ref
     nonzero, which the churn oracles flag (and shrink).  Reset it. *)
 
 val unsafe_unordered_exchange : bool ref
-(** Test/fuzz hook: when [true], sharded runs apply relay occupancy
-    deltas in place mid-window instead of deferring them to the
-    barrier exchange, so what a shard observes depends on which slots
-    it co-hosts and runs with different shard counts diverge.  The
+(** Test/fuzz hook: when [true], each shard applies its own relay
+    occupancy deltas in place mid-window instead of deferring them to
+    the barrier exchange, so what a shard observes depends on which
+    slots it co-hosts and runs with different shard counts diverge.  The
     check harness's shards=1-vs-4 differential catches the divergence
-    and shrinks it to a replayable line.  No effect on [shards = 0].
-    Reset it. *)
+    and shrinks it to a replayable line.  Reset it. *)
 
 val run : ?seed:int -> config -> result
-(** Deterministic per [(seed, config)].  Raises [Invalid_argument] if
-    the config does not validate or the population draws no exit. *)
+(** Deterministic per [(seed, config)], and identical for every
+    [shards] value.  Stops at the first exchange barrier at or past
+    the [duration] horizon or with [completed >= lifetimes_goal], so
+    [completed] may exceed the goal by fewer than [slots].  Raises
+    [Invalid_argument] if the config does not validate or the
+    population draws no exit. *)
 
 val run_instrumented : ?seed:int -> config -> result * float
 (** {!run} plus honest allocation accounting: the float is the total
     minor words allocated during the run summed over {e all}
-    participating domains — the calling domain plus, for sharded runs,
-    every worker domain of the shard team.  Kept out of {!result} so
+    participating domains — the calling domain plus every worker
+    domain of the shard team.  Kept out of {!result} so
     result digests stay comparable across instrumented and plain
     runs. *)
 

@@ -1,10 +1,8 @@
 (** Deterministic partitions for sharded consensus-scale runs.
 
-    Pure functions of [(seed, population, shards)]: the sharded
-    {!Network_experiment} engine derives every ownership decision —
-    which shard runs a circuit slot, which shard applies a relay's
-    occupancy deltas during the exchange phase — from these, so the
-    partition is identical on every machine and across every
+    Pure functions of [(slots, shards)]: the {!Network_experiment}
+    engine derives which shard runs each circuit slot from these, so
+    the partition is identical on every machine and across every
     [--jobs]/[--shards] setting. *)
 
 val count : slots:int -> shards:int -> int
@@ -21,10 +19,3 @@ val owner_of_slot : slots:int -> shards:int -> int -> int
 (** The shard whose {!slot_range} contains slot [i] — the O(1) inverse
     of {!slot_range}.  Raises [Invalid_argument] if [i] is outside
     [0, slots). *)
-
-val relay_shard : seed:int -> shards:int -> int -> int
-(** [relay_shard ~seed ~shards r] is the shard that owns relay [r]'s
-    occupancy counters during the exchange phase: a seeded SplitMix64
-    hash reduced mod [shards].  Every relay lands in exactly one shard
-    and the assignment is stable for a given seed.  Raises
-    [Invalid_argument] if [shards < 1] or [r < 0]. *)

@@ -390,7 +390,7 @@ let churny_config =
 
 let test_network_churn_counters_live () =
   let r = Workload.Network_experiment.run ~seed:11 churny_config in
-  Alcotest.(check int) "goal met" 1_500 r.completed;
+  Test_util.check_goal_met "goal met" churny_config r.completed;
   Alcotest.(check bool)
     (Printf.sprintf "departures (%d)" r.churn_departs)
     true (r.churn_departs > 0);
@@ -429,8 +429,9 @@ let test_network_churn_paired_strategies () =
   let c =
     Workload.Network_experiment.compare_strategies ~seed:11 churny_config
   in
-  Alcotest.(check int) "cs goal met" 1_500 c.circuit_start.completed;
-  Alcotest.(check int) "ss goal met" 1_500 c.slow_start.completed;
+  Test_util.check_goal_met "cs goal met" churny_config
+    c.circuit_start.completed;
+  Test_util.check_goal_met "ss goal met" churny_config c.slow_start.completed;
   (* The schedule is seeded identically per strategy run. *)
   Alcotest.(check bool) "both runs churned" true
     (c.circuit_start.churn_departs > 0 && c.slow_start.churn_departs > 0)
@@ -493,10 +494,23 @@ let test_old_lines_default_to_no_churn () =
      crash=-1 queue=0 strat=cs bn=1000 fast=2000 ep=100000 rebuilds=3 sess=6 \
      ocirc=0 okib=0 arr=20 lifet=30"
   in
-  match Check.Scenario.of_string line with
+  (match Check.Scenario.of_string line with
   | Ok sc ->
       Alcotest.(check int) "leave_pm defaults 0" 0 sc.Check.Scenario.leave_pm;
       Alcotest.(check int) "spares default 0" 0 sc.Check.Scenario.spares
+  | Error e -> Alcotest.fail e);
+  (* Lines written while shards=0 selected a separate single-domain
+     engine still parse and replay clean: 0 now runs as one shard. *)
+  let line =
+    line ^ " lpm=0 jpm=0 crashpct=0 grace=0 epochms=0 spares=0 shards=0"
+  in
+  let buf = Buffer.create 256 in
+  match
+    Check.Harness.replay ~selection line (Format.formatter_of_buffer buf)
+  with
+  | Ok true -> ()
+  | Ok false ->
+      Alcotest.fail ("shards=0 line failed on replay: " ^ Buffer.contents buf)
   | Error e -> Alcotest.fail e
 
 let test_kind_of_string () =

@@ -118,8 +118,7 @@ let small_config =
 
 let test_pool_recycles_no_orphans () =
   let r = Workload.Network_experiment.run ~seed:11 small_config in
-  Alcotest.(check int) "hits the lifetime goal"
-    (Workload.Network_experiment.lifetimes_goal small_config)
+  Test_util.check_goal_met "hits the lifetime goal" small_config
     r.Workload.Network_experiment.completed;
   Alcotest.(check bool) "records were recycled" true
     (r.Workload.Network_experiment.pool_recycles > 0);
@@ -170,11 +169,9 @@ let test_predictive_sharded_identical () =
         true
         (compare r1 (run k) = 0))
     [ 2; 4 ];
-  (* The classic engine must also complete the predictive workload. *)
-  let r0 = run 0 in
-  Alcotest.(check int) "classic engine hits the lifetime goal"
-    (Workload.Network_experiment.lifetimes_goal predictive_config)
-    r0.Workload.Network_experiment.completed
+  (* shards=0 runs as one shard. *)
+  Alcotest.(check bool) "predictive shards=0 identical to shards=1" true
+    (compare (run 0) r1 = 0)
 
 let test_validate_config_rejects () =
   let bad msg c =
@@ -238,16 +235,6 @@ let test_small_scale_shape_and_sketch_agreement () =
 
 (* ------------------------------------------------------------------ *)
 (* Shard: deterministic partitions and the sharded engine *)
-
-let prop_relay_shard_true_partition =
-  QCheck2.Test.make
-    ~name:"relay_shard: every relay in exactly one shard, stable under seed"
-    QCheck2.Gen.(
-      triple (int_range 0 100_000) (int_range 1 8) (int_range 0 10_000))
-    (fun (seed, shards, r) ->
-      let s = Workload.Shard.relay_shard ~seed ~shards r in
-      (* In range, and a pure function of (seed, shards, r). *)
-      s >= 0 && s < shards && s = Workload.Shard.relay_shard ~seed ~shards r)
 
 let prop_slot_ranges_tile =
   QCheck2.Test.make
@@ -430,13 +417,6 @@ let find_failing_sharded () =
         if index >= 60 then None
         else
           let sc = Check.Scenario.generate ~seed:99 ~index () in
-          let sc =
-            match sc.Check.Scenario.kind with
-            | (Check.Scenario.Network | Check.Scenario.Churn)
-              when sc.Check.Scenario.shards = 0 ->
-                { sc with Check.Scenario.shards = 2 }
-            | _ -> sc
-          in
           match sc.Check.Scenario.kind with
           | (Check.Scenario.Network | Check.Scenario.Churn)
             when Result.is_error (check sc) ->
@@ -536,11 +516,10 @@ let test_cli_sharded_byte_identical () =
         (Printf.sprintf "--shards %d --jobs %d byte-identical" shards jobs)
         reference out)
     [ (1, 2); (1, 4); (2, 1); (2, 2); (2, 4); (4, 1); (4, 2); (4, 4) ];
-  (* shards=0 selects the classic engine: it must still run cleanly,
-     but its output is the pre-shard engine's (pinned by the golden
-     tests), deliberately not compared against the sharded runs. *)
-  let rc, _ = torsim_out (base ^ " --shards 0") in
-  Alcotest.(check int) "--shards 0 (classic) exits 0" 0 rc
+  (* shards=0 runs as one shard. *)
+  let rc, out = torsim_out (base ^ " --shards 0") in
+  Alcotest.(check int) "--shards 0 exits 0" 0 rc;
+  Alcotest.(check string) "--shards 0 byte-identical" reference out
 
 let test_cli_rejects_bad_jobs_env () =
   let rc, text =
@@ -835,7 +814,6 @@ let () =
         ] );
       ( "shard",
         [
-          QCheck_alcotest.to_alcotest prop_relay_shard_true_partition;
           QCheck_alcotest.to_alcotest prop_slot_ranges_tile;
           Alcotest.test_case "shards 1-4 identical" `Slow
             test_sharded_results_identical;

@@ -19,6 +19,19 @@ let check_jobs_deterministic ?(jobs = [ 2; 4 ]) run_many =
         (compare (run_many j) reference = 0))
     jobs
 
+(* The round-level engine's stop contract.  The lifetime goal is
+   checked at every exchange barrier, and a window is no wider than the
+   smallest circuit RTT, so a slot completes at most one lifetime per
+   window: a run stops at the first barrier past the goal, with
+   [goal <= completed < goal + slots] — not exactly at the goal. *)
+let check_goal_met msg (config : Workload.Network_experiment.config) completed =
+  let goal = Workload.Network_experiment.lifetimes_goal config in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %d completed, goal %d, %d slots" msg completed goal
+       config.slots)
+    true
+    (goal <= completed && completed < goal + config.slots)
+
 (* ------------------------------------------------------------------ *)
 (* Golden-fixture rendering *)
 
